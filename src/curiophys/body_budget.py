@@ -80,7 +80,7 @@ def score_object_permanence(track: Track, profile: ClassProfile) -> float:
     under different class hypotheses.
     """
     _reject_occluder(track)
-    total = sum(c for c in track.confidences if c is not None)
+    total = sum(det.confidence for _, det in track.observed())
     return total * profile.impact_value / IMPACT_SCALE
 
 
@@ -120,23 +120,26 @@ def score_shape_constancy(track: Track, mode: str = "descriptor") -> float:
     _reject_occluder(track)
     if mode not in SC_MODES:
         raise ValueError(f"unknown shape-constancy mode {mode!r}; expected one of {SC_MODES}")
-    confidences = [c for c in track.confidences if c is not None]
-    if not confidences:
+    dets = [det for _, det in track.observed()]
+    if not dets:
         raise ValueError(f"track {track.track_id} has no detections to score")
     if mode == "confidence":
-        return min(1.0, max(0.0, sum(confidences) / len(confidences)))
-    descriptors = [d for d in track.descriptors if d is not None]
-    if len(descriptors) == 1:
-        return confidences[0]
+        return min(1.0, max(0.0, sum(d.confidence for d in dets) / len(dets)))
+    if len(dets) == 1:
+        return dets[0].confidence
     distances = [
-        normalized_euclidean_distance(descriptors[i], descriptors[i + 1])
-        for i in range(len(descriptors) - 1)
+        normalized_euclidean_distance(a.shape_descriptor, b.shape_descriptor)
+        for a, b in zip(dets, dets[1:])
     ]
     return min(1.0, max(0.0, 1.0 - sum(distances) / len(distances)))
 
 
 def composite_score(s_op: float, s_sc: float, s_stc: float, w: WeightConfig) -> float:
     return w.alpha * s_op + w.beta * s_sc + w.gamma * s_stc
+
+
+def _bundle(s_op: float, s_sc: float, s_stc: float, weights: WeightConfig) -> BodyBudgetScores:
+    return BodyBudgetScores(s_op, s_sc, s_stc, composite_score(s_op, s_sc, s_stc, weights), weights)
 
 
 def score_track(
@@ -147,15 +150,11 @@ def score_track(
     sc_mode: str = "descriptor",
 ) -> BodyBudgetScores:
     """All body-budget scores of one track under one class profile."""
-    s_op = score_object_permanence(track, profile)
-    s_sc = score_shape_constancy(track, sc_mode)
-    s_stc = score_spatial_temporal(track, n)
-    return BodyBudgetScores(
-        s_op=s_op,
-        s_sc=s_sc,
-        s_stc=s_stc,
-        a=composite_score(s_op, s_sc, s_stc, weights),
-        weights=weights,
+    return _bundle(
+        score_object_permanence(track, profile),
+        score_shape_constancy(track, sc_mode),
+        score_spatial_temporal(track, n),
+        weights,
     )
 
 
@@ -175,8 +174,10 @@ def hypothesis_scores(
     """
     if profiles is None:
         profiles = default_profiles()
+    s_sc = score_shape_constancy(track, sc_mode)
+    s_stc = score_spatial_temporal(track, n)
     return {
-        cls: score_track(track, n, profiles[cls], weights, sc_mode)
+        cls: _bundle(score_object_permanence(track, profiles[cls]), s_sc, s_stc, weights)
         for cls in SCOREABLE_CLASSES
         if cls in profiles
     }

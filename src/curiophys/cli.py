@@ -11,6 +11,7 @@ process (remaining events were still handled).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import Optional, Sequence, Tuple
@@ -176,8 +177,6 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _looks_like_report(path: str) -> bool:
     try:
-        import json
-
         with open(path, "r", encoding="utf-8") as fh:
             first = json.loads(fh.readline())
         return isinstance(first, dict) and ("flag" in first or "error" in first)

@@ -11,9 +11,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .body_budget import SC_MODES, WeightConfig
+from .body_budget import WeightConfig
 from .curiosity import CuriosityParams
 from .trace_model import (
+    DEFAULT_IMPACT_VALUES,
+    DEFAULT_SCENE,
     ClassProfile,
     ObjectClass,
     SCOREABLE_CLASSES,
@@ -26,8 +28,10 @@ class ConfigError(ValueError):
     """Unusable configuration (bad file, unknown key, invalid value)."""
 
 
-def _default_impacts() -> dict[str, float]:
-    return {"sphere": 10.0, "cone": 100.0, "cube": 1000.0}
+# Each default below is read from the parameter type that owns it.
+_WEIGHTS = WeightConfig()
+_TRACKER = TrackerParams()
+_CURIOSITY = CuriosityParams()
 
 
 @dataclass(frozen=True)
@@ -39,38 +43,31 @@ class RunConfig:
     loaded KB's stored threshold (or 3 for a fresh KB).
     """
 
-    alpha: float = 0.33
-    beta: float = 0.33
-    gamma: float = 0.33
-    assoc_gate: float = 50.0
-    jump_gate: float = 25.0
-    q: float = 1.0
-    r: float = 2.0
-    p0: float = 100.0
-    occlusion_coverage_min: float = 0.7
+    alpha: float = _WEIGHTS.alpha
+    beta: float = _WEIGHTS.beta
+    gamma: float = _WEIGHTS.gamma
+    assoc_gate: float = _TRACKER.assoc_gate
+    jump_gate: float = _TRACKER.jump_gate
+    q: float = _TRACKER.process_noise
+    r: float = _TRACKER.measurement_noise
+    p0: float = _TRACKER.initial_variance
+    occlusion_coverage_min: float = _CURIOSITY.occlusion_coverage_min
     promotion_threshold: Optional[int] = None
-    impact_values: Mapping[str, float] = field(default_factory=_default_impacts)
-    sc_mode: str = "descriptor"
-    scene_width: float = 640.0
-    scene_height: float = 360.0
+    impact_values: Mapping[str, float] = field(
+        default_factory=lambda: {cls.value: v for cls, v in DEFAULT_IMPACT_VALUES.items()}
+    )
+    sc_mode: str = _CURIOSITY.sc_mode
+    scene_width: float = DEFAULT_SCENE.width
+    scene_height: float = DEFAULT_SCENE.height
     kb_path: Optional[str] = None
     out_dir: str = "."
     seed: int = 0
 
     def __post_init__(self):
         try:
-            self.weights()
-            self.tracker_params()
-            self.profiles()
-            self.scene()
+            self.curiosity_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.sc_mode not in SC_MODES:
-            raise ConfigError(f"sc_mode must be one of {SC_MODES}, got {self.sc_mode!r}")
-        if not (0.0 < self.occlusion_coverage_min <= 1.0):
-            raise ConfigError(
-                f"occlusion_coverage_min must be in (0, 1], got {self.occlusion_coverage_min}"
-            )
         if self.promotion_threshold is not None and self.promotion_threshold < 1:
             raise ConfigError(
                 f"promotion_threshold must be >= 1, got {self.promotion_threshold}"

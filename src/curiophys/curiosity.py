@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .body_budget import (
+    SC_MODES,
     BodyBudgetScores,
     WeightConfig,
     focus_track,
@@ -88,6 +89,8 @@ class CuriosityParams:
             )
         if self.occluder_inflation < 0:
             raise ValueError(f"occluder_inflation must be >= 0, got {self.occluder_inflation}")
+        if self.sc_mode not in SC_MODES:
+            raise ValueError(f"sc_mode must be one of {SC_MODES}, got {self.sc_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,7 @@ def _gap_centers(track: Track, start: int, end: int) -> list[Tuple[float, float]
     """
     if start >= track.first_frame:
         return [track.predicted_center_at(f) for f in range(start, end + 1)]
-    observed = [
-        (track.first_frame + i, track.centers_observed[i])
-        for i, present in enumerate(track.presence)
-        if present
-    ]
+    observed = [(frame, det.center) for frame, det in track.observed()]
     (t0, c0) = observed[0]
     if len(observed) >= 2:
         (t1, c1) = observed[1]
@@ -182,11 +181,10 @@ def _wall_contains(
     walls: Sequence[Track], frame: int, center: Tuple[float, float], inflation: float
 ) -> bool:
     for wall in walls:
-        if not (wall.covers(frame) and wall.was_present(frame)):
+        det = wall.detection_at(frame) if wall.covers(frame) else None
+        if det is None:
             continue
-        bbox = wall.bboxes[frame - wall.first_frame]
-        assert bbox is not None
-        x, y, w, h = bbox
+        x, y, w, h = det.bbox
         if (
             x - inflation <= center[0] <= x + w + inflation
             and y - inflation <= center[1] <= y + h + inflation
@@ -304,23 +302,23 @@ def classify_event(
     )
     reason = _verdict_reason(flag, explanations)
 
-    track_scores = tuple(
-        TrackScore(
-            t.track_id,
-            t.resolved_class,
-            score_track(
-                t, trace.frame_count, params.profiles[t.resolved_class],
-                params.weights, params.sc_mode,
-            ),
-        )
-        for t in objects
-    )
     focus = focus_track(tracks)
     assert focus is not None
     scores_by_class = hypothesis_scores(
         focus, trace.frame_count, params.profiles, params.weights, params.sc_mode
     )
     focus_scores = scores_by_class[focus.resolved_class]
+    track_scores = tuple(
+        TrackScore(
+            t.track_id,
+            t.resolved_class,
+            focus_scores if t is focus else score_track(
+                t, trace.frame_count, params.profiles[t.resolved_class],
+                params.weights, params.sc_mode,
+            ),
+        )
+        for t in objects
+    )
 
     z: Optional[ZNumber] = None
     raw: Optional[dict[ObjectClass, float]] = None

@@ -87,9 +87,6 @@ class Rect:
         px, py = point
         return self.x <= px <= self.x + self.w and self.y <= py <= self.y + self.h
 
-    def inflate(self, amount: float) -> "Rect":
-        return Rect(self.x - amount, self.y - amount, self.w + 2 * amount, self.h + 2 * amount)
-
     def as_bbox(self) -> Tuple[float, float, float, float]:
         return (self.x, self.y, self.w, self.h)
 
@@ -392,6 +389,10 @@ def parse_trace(
         if not isinstance(gt_obj, dict):
             raise TraceParseError("line 1: ground_truth must be an object")
         possible = _require(gt_obj, "possible", 1)
+        if not isinstance(possible, bool):
+            raise TraceParseError(
+                f"line 1: ground_truth.possible must be a boolean, got {possible!r}"
+            )
         classes = _require(gt_obj, "object_classes", 1)
         if not isinstance(classes, list):
             raise TraceParseError("line 1: ground_truth.object_classes must be an array")
@@ -399,7 +400,7 @@ def parse_trace(
             gt_classes = tuple(ObjectClass.from_name(str(c)) for c in classes)
         except ValueError as exc:
             raise TraceParseError(f"line 1: {exc}") from None
-        ground_truth = GroundTruth(possible=bool(possible), object_classes=gt_classes)
+        ground_truth = GroundTruth(possible=possible, object_classes=gt_classes)
 
     frames = []
     for idx in range(1, len(lines)):

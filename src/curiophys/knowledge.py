@@ -283,6 +283,13 @@ def _load_error(msg: str) -> KnowledgeLoadError:
     return KnowledgeLoadError(f"knowledge base unreadable: {msg}")
 
 
+def _boolean(entry: dict, key: str) -> bool:
+    value = entry[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a boolean, got {value!r}")
+    return value
+
+
 def kb_from_document(doc) -> KnowledgeBase:
     if not isinstance(doc, dict):
         raise _load_error("top-level document must be an object")
@@ -311,12 +318,12 @@ def kb_from_document(doc) -> KnowledgeBase:
         try:
             signature = ExceptionSignature.build(
                 [str(k) for k in entry["violation_kinds"]],
-                bool(entry["occluder_present"]),
+                _boolean(entry, "occluder_present"),
                 str(entry["verdict_agent"]),
                 str(entry["verdict_ground_truth"]),
             )
             occurrences = int(entry["occurrences"])
-            promoted = bool(entry["promoted"])
+            promoted = _boolean(entry, "promoted")
         except (KeyError, TypeError, ValueError) as exc:
             raise _load_error(f"exceptions[{i}]: {exc}") from None
         if occurrences < 1:

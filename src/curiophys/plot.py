@@ -95,11 +95,9 @@ def _observed_segments(track: Track, axis: int) -> list[list[Tuple[int, float]]]
     """Consecutive observed runs as (frame, value) lists; gaps split segments."""
     segments: list[list[Tuple[int, float]]] = []
     current: list[Tuple[int, float]] = []
-    for i, present in enumerate(track.presence):
-        if present:
-            obs = track.centers_observed[i]
-            assert obs is not None
-            current.append((track.first_frame + i, obs[axis]))
+    for i, det in enumerate(track.detections):
+        if det is not None:
+            current.append((track.first_frame + i, det.center[axis]))
         elif current:
             segments.append(current)
             current = []
@@ -119,7 +117,7 @@ def _panel_svg(
     values = []
     for track in tracks:
         values.extend(c[axis] for c in track.centers_predicted)
-        values.extend(c[axis] for c in track.centers_observed if c is not None)
+        values.extend(det.center[axis] for _, det in track.observed())
     panel = _Panel(top, (0.0, max(frame_count - 1, 1)), (min(values), max(values)))
 
     parts = [

@@ -11,6 +11,7 @@ output.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -198,15 +199,20 @@ def validate_trace(trace: EventTrace) -> list[str]:
             where = f"frame {frame.frame_index}, detection {d_idx}"
             if det.object_class is ObjectClass.UNKNOWN:
                 violations.append(f"{where}: class 'unknown' not allowed in detections")
-            if not (0.0 <= det.confidence <= 1.0):
+            if not math.isfinite(det.confidence):
+                violations.append(f"{where}: confidence {det.confidence} is not finite")
+            elif not (0.0 <= det.confidence <= 1.0):
                 violations.append(
                     f"{where}: confidence {det.confidence} outside [0, 1]"
                 )
-            _, _, w, h = det.bbox
-            if w <= 0:
-                violations.append(f"{where}: bbox width must be > 0, got {w}")
-            if h <= 0:
-                violations.append(f"{where}: bbox height must be > 0, got {h}")
+            for name, value in zip(("x", "y", "width", "height"), det.bbox):
+                if not math.isfinite(value):
+                    violations.append(f"{where}: bbox {name} {value} is not finite")
+                elif name in ("width", "height") and value <= 0:
+                    violations.append(f"{where}: bbox {name} must be > 0, got {value}")
+            for k, value in enumerate(det.shape_descriptor):
+                if not math.isfinite(value):
+                    violations.append(f"{where}: shape_descriptor[{k}] {value} is not finite")
             if descriptor_dim is None:
                 descriptor_dim = len(det.shape_descriptor)
                 descriptor_origin = frame.frame_index

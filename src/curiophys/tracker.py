@@ -123,8 +123,8 @@ class Track:
     """State history of one tracked object across a trace.
 
     Per-frame lists are aligned and indexed by (frame - first_frame); they
-    always extend to the final frame of the trace, with presence False on
-    coasted frames.
+    always extend to the final frame of the trace.  A frame's detection is
+    None where the track coasted.
     """
 
     def __init__(self, track_id: int, first_frame: int, det: Detection, params: TrackerParams):
@@ -132,75 +132,59 @@ class Track:
         self.first_frame = first_frame
         self.is_occluder = det.object_class is ObjectClass.WALL
         self.filter = PointFilter(det.center, params)
-        self.presence: list[bool] = [True]
-        self.centers_observed: list[Optional[Tuple[float, float]]] = [det.center]
+        self.detections: list[Optional[Detection]] = [det]
         # at birth the prediction is the detection itself
         self.centers_predicted: list[Tuple[float, float]] = [det.center]
         self.residuals: list[Optional[float]] = [0.0]
         self.velocities: list[Tuple[float, float]] = [(0.0, 0.0)]
-        self.confidences: list[Optional[float]] = [det.confidence]
-        self.classes: list[Optional[ObjectClass]] = [det.object_class]
-        self.bboxes: list[Optional[Tuple[float, float, float, float]]] = [det.bbox]
-        self.descriptors: list[Optional[Tuple[float, ...]]] = [det.shape_descriptor]
 
     def observe(self, det: Detection, predicted: Tuple[float, float]) -> float:
         residual = self.filter.update(det.center)
-        self.presence.append(True)
-        self.centers_observed.append(det.center)
+        self.detections.append(det)
         self.centers_predicted.append(predicted)
         self.residuals.append(residual)
         self.velocities.append(self.filter.velocity)
-        self.confidences.append(det.confidence)
-        self.classes.append(det.object_class)
-        self.bboxes.append(det.bbox)
-        self.descriptors.append(det.shape_descriptor)
         return residual
 
     def coast(self, predicted: Tuple[float, float]) -> None:
-        self.presence.append(False)
-        self.centers_observed.append(None)
+        self.detections.append(None)
         self.centers_predicted.append(predicted)
         self.residuals.append(None)
         self.velocities.append(self.filter.velocity)
-        self.confidences.append(None)
-        self.classes.append(None)
-        self.bboxes.append(None)
-        self.descriptors.append(None)
 
     # -- frame-indexed access -------------------------------------------------
 
     def covers(self, frame: int) -> bool:
-        return self.first_frame <= frame < self.first_frame + len(self.presence)
+        return self.first_frame <= frame < self.first_frame + len(self.detections)
 
     def _idx(self, frame: int) -> int:
         if not self.covers(frame):
             raise IndexError(f"track {self.track_id} does not cover frame {frame}")
         return frame - self.first_frame
 
-    def was_present(self, frame: int) -> bool:
-        return self.presence[self._idx(frame)]
+    def detection_at(self, frame: int) -> Optional[Detection]:
+        return self.detections[self._idx(frame)]
 
     def predicted_center_at(self, frame: int) -> Tuple[float, float]:
         return self.centers_predicted[self._idx(frame)]
+
+    def observed(self) -> Iterator[Tuple[int, Detection]]:
+        """(frame, detection) for every frame the track was detected in."""
+        for i, det in enumerate(self.detections):
+            if det is not None:
+                yield (self.first_frame + i, det)
 
     # -- aggregates -----------------------------------------------------------
 
     @property
     def detected_frames(self) -> int:
-        return sum(1 for p in self.presence if p)
-
-    @property
-    def last_observed_frame(self) -> int:
-        for i in range(len(self.presence) - 1, -1, -1):
-            if self.presence[i]:
-                return self.first_frame + i
-        raise RuntimeError("track has no observations")  # unreachable: born observed
+        return sum(1 for d in self.detections if d is not None)
 
     @property
     def last_class(self) -> ObjectClass:
-        for cls in reversed(self.classes):
-            if cls is not None:
-                return cls
+        for det in reversed(self.detections):
+            if det is not None:
+                return det.object_class
         raise RuntimeError("track has no observations")
 
     @property
@@ -209,26 +193,14 @@ class Track:
         in canonical order, so an exact half-way switch resolves to the
         class the object started as."""
         counts: dict[ObjectClass, int] = {}
-        for cls in self.classes:
-            if cls is not None:
-                counts[cls] = counts.get(cls, 0) + 1
+        for _, det in self.observed():
+            counts[det.object_class] = counts.get(det.object_class, 0) + 1
         return max(counts, key=lambda c: (counts[c], -class_order_index(c)))
-
-    def observed_frames(self) -> Iterator[Tuple[int, ObjectClass]]:
-        for i, present in enumerate(self.presence):
-            if present:
-                cls = self.classes[i]
-                assert cls is not None
-                yield (self.first_frame + i, cls)
-
-    def mean_confidence(self) -> float:
-        vals = [c for c in self.confidences if c is not None]
-        return sum(vals) / len(vals)
 
     def __repr__(self) -> str:
         return (
             f"Track(id={self.track_id}, class={self.last_class.value}, "
-            f"frames=[{self.first_frame}..{self.first_frame + len(self.presence) - 1}], "
+            f"frames=[{self.first_frame}..{self.first_frame + len(self.detections) - 1}], "
             f"detected={self.detected_frames})"
         )
 
@@ -359,11 +331,11 @@ def track_discontinuities(
 
     # maximal runs of absent frames within the track span
     gap_start: Optional[int] = None
-    for i, present in enumerate(track.presence):
+    for i, det in enumerate(track.detections):
         frame = track.first_frame + i
-        if not present and gap_start is None:
+        if det is None and gap_start is None:
             gap_start = frame
-        elif present and gap_start is not None:
+        elif det is not None and gap_start is not None:
             out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame - 1))
             out.append(Discontinuity(DiscontinuityKind.APPEAR, tid, gap_start, frame - 1))
             gap_start = None
@@ -384,7 +356,8 @@ def track_discontinuities(
 
     # class switches: a sustained run of a different class than established
     runs: list[Tuple[ObjectClass, int, int]] = []  # (class, start_frame, count)
-    for frame, cls in track.observed_frames():
+    for frame, det in track.observed():
+        cls = det.object_class
         if runs and runs[-1][0] is cls:
             runs[-1] = (cls, runs[-1][1], runs[-1][2] + 1)
         else:
@@ -440,15 +413,14 @@ def _fmt(value: float) -> str:
 def track_csv_rows(track: Track) -> Iterator[tuple]:
     """Rows for one track in TRACK_CSV_FIELDS order; absent frames leave the
     observation and residual cells empty."""
-    for i, present in enumerate(track.presence):
+    for i, det in enumerate(track.detections):
         frame = track.first_frame + i
         px, py = track.centers_predicted[i]
-        if present:
-            obs = track.centers_observed[i]
-            assert obs is not None
+        if det is not None:
+            ox, oy = det.center
             residual = track.residuals[i]
             assert residual is not None
-            yield (frame, _fmt(obs[0]), _fmt(obs[1]), _fmt(px), _fmt(py), _fmt(residual), 1)
+            yield (frame, _fmt(ox), _fmt(oy), _fmt(px), _fmt(py), _fmt(residual), 1)
         else:
             yield (frame, "", "", _fmt(px), _fmt(py), "", 0)
 

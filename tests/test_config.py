@@ -1,0 +1,91 @@
+import dataclasses
+
+import pytest
+
+from curiophys import (
+    ClassProfile,
+    ConfigError,
+    CuriosityParams,
+    ObjectClass,
+    RunConfig,
+    SceneBounds,
+    TrackerParams,
+    WeightConfig,
+)
+from curiophys.config import config_from_document
+
+# Every RunConfig key set to a value other than its default.
+NON_DEFAULT = {
+    "alpha": 0.5,
+    "beta": 0.25,
+    "gamma": 0.125,
+    "assoc_gate": 40.0,
+    "jump_gate": 20.0,
+    "q": 0.5,
+    "r": 3.0,
+    "p0": 50.0,
+    "occlusion_coverage_min": 0.6,
+    "promotion_threshold": 5,
+    "impact_values": {"sphere": 20.0, "cone": 200.0, "cube": 2000.0},
+    "sc_mode": "confidence",
+    "scene_width": 800.0,
+    "scene_height": 600.0,
+    "kb_path": "other-kb.json",
+    "out_dir": "results",
+    "seed": 9,
+}
+
+
+def test_defaults_match_the_parameter_types():
+    config = RunConfig()
+    assert config.curiosity_params() == CuriosityParams()
+    assert config.tracker_params() == TrackerParams()
+    assert config.weights() == WeightConfig()
+    assert config.scene() == SceneBounds()
+
+
+def test_every_key_reaches_its_derived_field():
+    assert set(NON_DEFAULT) == {f.name for f in dataclasses.fields(RunConfig)}
+    defaults = RunConfig()
+    assert all(getattr(defaults, key) != value for key, value in NON_DEFAULT.items())
+
+    config = config_from_document(NON_DEFAULT)
+    params = config.curiosity_params()
+    assert params.weights == WeightConfig(alpha=0.5, beta=0.25, gamma=0.125)
+    assert params.tracker == TrackerParams(
+        assoc_gate=40.0,
+        jump_gate=20.0,
+        process_noise=0.5,
+        measurement_noise=3.0,
+        initial_variance=50.0,
+    )
+    assert params.occlusion_coverage_min == 0.6
+    assert params.sc_mode == "confidence"
+    assert params.profiles == {
+        ObjectClass.SPHERE: ClassProfile(ObjectClass.SPHERE, 20.0),
+        ObjectClass.CONE: ClassProfile(ObjectClass.CONE, 200.0),
+        ObjectClass.CUBE: ClassProfile(ObjectClass.CUBE, 2000.0),
+    }
+    assert params.scene == SceneBounds(width=800.0, height=600.0)
+    assert (config.promotion_threshold, config.kb_path, config.out_dir, config.seed) == (
+        5,
+        "other-kb.json",
+        "results",
+        9,
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sc_mode", "shape", "sc_mode must be one of"),
+        ("occlusion_coverage_min", 0.0, "occlusion_coverage_min must be in"),
+        ("alpha", 1.5, "alpha must be in"),
+        ("q", 0.0, "process_noise must be positive"),
+        ("impact_values", {"wall": 1.0}, "cannot carry an impact value"),
+        ("promotion_threshold", 0, "promotion_threshold must be >= 1"),
+    ],
+)
+def test_invalid_values_are_config_errors(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_document({key: value})

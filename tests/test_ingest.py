@@ -198,6 +198,33 @@ def test_parse_rejects_inconsistent_header_count():
         parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
+def test_parse_rejects_string_boolean_ground_truth():
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
+    lines = encode_trace(trace).splitlines()
+    header = json.loads(lines[0])
+    header["ground_truth"]["possible"] = "false"
+    with pytest.raises(TraceParseError, match="line 1: ground_truth.possible must be a boolean"):
+        parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "slot, value, message",
+    [
+        (2, float("nan"), "frame 5, detection 0: bbox width nan is not finite"),
+        (0, float("inf"), "frame 5, detection 0: bbox x inf is not finite"),
+    ],
+)
+def test_parse_rejects_non_finite_bbox(slot, value, message):
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
+    lines = encode_trace(trace).splitlines()
+    frame = json.loads(lines[6])
+    frame["detections"][0]["bbox"][slot] = value
+    doctored = "\n".join(lines[:6] + [json.dumps(frame)] + lines[7:]) + "\n"
+    with pytest.raises(TraceValidationError) as excinfo:
+        parse_trace(doctored)
+    assert excinfo.value.violations == [message]
+
+
 def test_parse_ignores_unknown_fields_and_never_writes_them():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
     lines = encode_trace(trace).splitlines()

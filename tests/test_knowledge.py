@@ -234,6 +234,14 @@ def test_load_rejects_corruption():
         load_kb(b"\xff\xfe not utf8 json")
 
 
+@pytest.mark.parametrize("field", ["occluder_present", "promoted"])
+def test_load_rejects_string_booleans(field):
+    doc = json.loads(save_kb(_populated_kb()))
+    doc["exceptions"][1][field] = "false"
+    with pytest.raises(KnowledgeLoadError, match=rf"exceptions\[1\]: {field} must be a boolean"):
+        load_kb(json.dumps(doc).encode())
+
+
 def test_kb_file_round_trip_and_atomicity(tmp_path):
     path = tmp_path / "kb.json"
     kb = _populated_kb()

@@ -95,6 +95,22 @@ def test_validate_trace_flags_bad_confidence_and_bbox():
     assert any("bbox" in v and "frame 1" in v for v in violations)
 
 
+def test_validate_trace_flags_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    dets = (
+        Detection(ObjectClass.SPHERE, nan, (0, 0, 10, 10), (1.0, 0.1)),
+        Detection(ObjectClass.SPHERE, 0.5, (-inf, 0, 10, nan), (1.0, 0.1)),
+        Detection(ObjectClass.SPHERE, 0.5, (0, 0, 10, 10), (inf, 0.1)),
+    )
+    trace = EventTrace("non-finite", (FrameRecord(0, dets),), None)
+    assert validate_trace(trace) == [
+        "frame 0, detection 0: confidence nan is not finite",
+        "frame 0, detection 1: bbox x -inf is not finite",
+        "frame 0, detection 1: bbox height nan is not finite",
+        "frame 0, detection 2: shape_descriptor[0] inf is not finite",
+    ]
+
+
 def test_validate_trace_flags_unknown_detection_class():
     det = Detection(ObjectClass.UNKNOWN, 0.5, (0, 0, 10, 10), (1.0, 0.1))
     trace = EventTrace("unk", (FrameRecord(0, (det,)),), None)

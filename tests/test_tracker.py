@@ -32,7 +32,7 @@ def test_constant_velocity_object_yields_one_full_track():
     track = _single_track(trace)
     assert track.first_frame == 0
     assert track.detected_frames == trace.frame_count
-    assert all(track.presence)
+    assert all(d is not None for d in track.detections)
     assert track.resolved_class is ObjectClass.SPHERE
 
 
@@ -49,7 +49,7 @@ def test_filter_converges_on_linear_motion():
 def test_track_survives_occlusion_as_one_identity():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_OCCLUDED))
     track = _single_track(trace)
-    gap = [track.first_frame + i for i, p in enumerate(track.presence) if not p]
+    gap = [track.first_frame + i for i, d in enumerate(track.detections) if d is None]
     assert gap == list(range(40, 56))
     # prediction keeps moving through the gap
     before = track.predicted_center_at(gap[0])
@@ -70,7 +70,7 @@ def test_walls_and_objects_track_in_separate_pools():
     obj = [t for t in tracks if not t.is_occluder]
     assert len(wall) == 1 and len(obj) == 1
     assert obj[0].detected_frames == 30
-    assert all(c is None or c is ObjectClass.SPHERE for c in obj[0].classes)
+    assert all(d is None or d.object_class is ObjectClass.SPHERE for d in obj[0].detections)
     assert wall[0].detected_frames == 30
 
 
@@ -88,7 +88,12 @@ def test_association_is_permutation_invariant():
 
     def summary(tracks):
         return sorted(
-            (t.is_occluder, t.first_frame, tuple(t.centers_observed), tuple(t.classes))
+            (
+                t.is_occluder,
+                t.first_frame,
+                tuple(d and d.center for d in t.detections),
+                tuple(d and d.object_class for d in t.detections),
+            )
             for t in tracks
         )
 
@@ -117,7 +122,7 @@ def test_same_class_detection_wins_ties():
     trace = build_trace("tie", 2, [sphere_then_pair, intruder])
     tracks = track_event(trace)
     original = [t for t in tracks if t.first_frame == 0][0]
-    assert original.classes[1] is ObjectClass.SPHERE
+    assert original.detections[1].object_class is ObjectClass.SPHERE
 
 
 def test_discontinuities_for_generated_kinds():
