@@ -20,6 +20,8 @@ from .trace_model import (
     ObjectClass,
     SCOREABLE_CLASSES,
     SceneBounds,
+    is_finite_number,
+    is_integer,
 )
 from .tracker import TrackerParams
 
@@ -64,6 +66,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not is_finite_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.impact_values, Mapping):
+            raise ConfigError(f"impact_values must be an object, got {self.impact_values!r}")
+        for name, impact in self.impact_values.items():
+            if not is_finite_number(impact):
+                raise ConfigError(f"impact_values.{name} must be a finite number, got {impact!r}")
         try:
             self.curiosity_params()
         except ValueError as exc:
@@ -94,8 +108,9 @@ class RunConfig:
             if cls not in SCOREABLE_CLASSES:
                 raise ConfigError(f"impact_values: class {name!r} cannot carry an impact value")
             profiles[cls] = ClassProfile(cls, float(impact))
-        if not profiles:
-            raise ConfigError("impact_values must name at least one class")
+        missing = [cls.value for cls in SCOREABLE_CLASSES if cls not in profiles]
+        if missing:
+            raise ConfigError(f"impact_values: missing a value for {', '.join(missing)}")
         return profiles
 
     def scene(self) -> SceneBounds:
@@ -114,8 +129,9 @@ class RunConfig:
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
 
-# Fields whose JSON value must be an integer, not a float.
+# Fields whose value must be an integer, not a float.
 _INT_FIELDS = {"promotion_threshold", "seed"}
+_FLOAT_FIELDS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "float"}
 
 
 def config_from_document(doc) -> RunConfig:
@@ -124,9 +140,6 @@ def config_from_document(doc) -> RunConfig:
     unknown = sorted(set(doc) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for name in _INT_FIELDS & set(doc):
-        if doc[name] is not None and not isinstance(doc[name], int):
-            raise ConfigError(f"{name} must be an integer, got {doc[name]!r}")
     try:
         return RunConfig(**doc)
     except TypeError as exc:

@@ -30,6 +30,7 @@ from .trace_model import (
     GroundTruth,
     ObjectClass,
     SceneBounds,
+    is_integer,
     validate_trace,
 )
 
@@ -380,7 +381,7 @@ def parse_trace(
     header = load_line(0)
     event_id = str(_require(header, "event_id", 1))
     frame_count = _require(header, "frame_count", 1)
-    if not isinstance(frame_count, int) or frame_count < 0:
+    if not is_integer(frame_count) or frame_count < 0:
         raise TraceParseError("line 1: frame_count must be a non-negative integer")
 
     ground_truth = None
@@ -406,7 +407,7 @@ def parse_trace(
     for idx in range(1, len(lines)):
         record = load_line(idx)
         frame_index = _require(record, "frame_index", idx + 1)
-        if not isinstance(frame_index, int):
+        if not is_integer(frame_index):
             raise TraceParseError(f"line {idx + 1}: frame_index must be an integer")
         dets = record.get("detections", [])
         if not isinstance(dets, list):

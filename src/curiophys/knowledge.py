@@ -18,10 +18,21 @@ import tempfile
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .trace_model import SCOREABLE_CLASSES, ObjectClass, class_order_index
+from .trace_model import (
+    SCOREABLE_CLASSES,
+    ObjectClass,
+    class_order_index,
+    is_finite_number,
+    is_integer,
+)
+from .tracker import DiscontinuityKind
 
 KB_VERSION = 1
 DEFAULT_PROMOTION_THRESHOLD = 3
+
+# What a stored exception signature may name: break kinds and verdicts.
+_KIND_WORDS = tuple(kind.value for kind in DiscontinuityKind)
+_VERDICT_WORDS = ("possible", "impossible")
 
 # Σ_c B_c must equal 1 to this tolerance after normalization.
 NORMALIZATION_TOL = 1e-9
@@ -283,11 +294,23 @@ def _load_error(msg: str) -> KnowledgeLoadError:
     return KnowledgeLoadError(f"knowledge base unreadable: {msg}")
 
 
-def _boolean(entry: dict, key: str) -> bool:
+def _field(entry: dict, key: str, valid, expected: str):
     value = entry[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be a boolean, got {value!r}")
+    if not valid(value):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
     return value
+
+
+def _is_kind_list(value) -> bool:
+    return isinstance(value, list) and all(kind in _KIND_WORDS for kind in value)
+
+
+def _is_verdict(value) -> bool:
+    return value in _VERDICT_WORDS
+
+
+def _is_bool(value) -> bool:
+    return isinstance(value, bool)
 
 
 def kb_from_document(doc) -> KnowledgeBase:
@@ -297,15 +320,15 @@ def kb_from_document(doc) -> KnowledgeBase:
     if version != KB_VERSION:
         raise _load_error(f"unsupported version {version!r} (expected {KB_VERSION})")
     threshold = doc.get("promotion_threshold", DEFAULT_PROMOTION_THRESHOLD)
-    if not isinstance(threshold, int) or threshold < 1:
+    if not is_integer(threshold) or threshold < 1:
         raise _load_error(f"promotion_threshold must be a positive integer, got {threshold!r}")
     kb = KnowledgeBase(promotion_threshold=threshold)
 
     for i, entry in enumerate(doc.get("class_stats", [])):
         try:
             cls = ObjectClass.from_name(entry["class"])
-            mean = float(entry["mean"])
-            count = int(entry["count"])
+            mean = float(_field(entry, "mean", is_finite_number, "a finite number"))
+            count = _field(entry, "count", is_integer, "an integer")
         except (KeyError, TypeError, ValueError) as exc:
             raise _load_error(f"class_stats[{i}]: {exc}") from None
         if cls not in SCOREABLE_CLASSES:
@@ -317,13 +340,13 @@ def kb_from_document(doc) -> KnowledgeBase:
     for i, entry in enumerate(doc.get("exceptions", [])):
         try:
             signature = ExceptionSignature.build(
-                [str(k) for k in entry["violation_kinds"]],
-                _boolean(entry, "occluder_present"),
-                str(entry["verdict_agent"]),
-                str(entry["verdict_ground_truth"]),
+                _field(entry, "violation_kinds", _is_kind_list, f"an array of {_KIND_WORDS}"),
+                _field(entry, "occluder_present", _is_bool, "a boolean"),
+                _field(entry, "verdict_agent", _is_verdict, f"one of {_VERDICT_WORDS}"),
+                _field(entry, "verdict_ground_truth", _is_verdict, f"one of {_VERDICT_WORDS}"),
             )
-            occurrences = int(entry["occurrences"])
-            promoted = _boolean(entry, "promoted")
+            occurrences = _field(entry, "occurrences", is_integer, "an integer")
+            promoted = _field(entry, "promoted", _is_bool, "a boolean")
         except (KeyError, TypeError, ValueError) as exc:
             raise _load_error(f"exceptions[{i}]: {exc}") from None
         if occurrences < 1:

@@ -62,6 +62,17 @@ def class_order_index(cls: ObjectClass) -> int:
     return CLASS_ORDER.index(cls)
 
 
+def is_integer(value) -> bool:
+    """An int decoded from JSON; true/false decode to bool, a subclass of
+    int, and do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite int or float decoded from JSON; booleans do not count."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SceneBounds:
     """Pixel extent of the scene, also used to normalize shape descriptors."""

@@ -5,7 +5,8 @@ in separate pools so a box sliding behind a wall is never matched to the
 wall's detection.  During detection gaps a track coasts: the filter keeps
 predicting without measurement updates, which is what lets a track survive
 occlusion and what gives the curiosity layer a predicted center to test
-against occluder geometry.
+against occluder geometry.  The filter is a closed-form per-axis Kalman
+filter: with isotropic noise both axes share one 2x2 covariance exactly.
 
 Association is greedy nearest-neighbor over predicted centers and is
 independent of detection order within a frame: candidate pairs are sorted
@@ -15,37 +16,19 @@ assignment, and new tracks are born in detection-content order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .trace_model import Detection, EventTrace, ObjectClass, class_order_index
 
-# Tolerance for the covariance symmetry / positive semi-definiteness contract.
+# Tolerance for the covariance positive semi-definiteness contract.
 COVARIANCE_TOL = 1e-9
-
-# Constant-velocity transition over state [x, y, vx, vy], unit frame step.
-F_MAT = np.array(
-    [
-        [1.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ]
-)
-# Position-only measurement.
-H_MAT = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ]
-)
 
 
 class CovarianceError(RuntimeError):
-    """Filter covariance lost symmetry or positive semi-definiteness."""
+    """Filter covariance lost positive semi-definiteness."""
 
 
 @dataclass(frozen=True)
@@ -66,23 +49,28 @@ class TrackerParams:
 
     def __post_init__(self):
         for name in ("assoc_gate", "jump_gate", "process_noise", "measurement_noise", "initial_variance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.shape_switch_min_run < 1:
             raise ValueError(f"shape_switch_min_run must be >= 1, got {self.shape_switch_min_run}")
 
 
-def _check_covariance(p: np.ndarray) -> None:
-    asym = float(np.max(np.abs(p - p.T)))
-    if asym > COVARIANCE_TOL:
-        raise CovarianceError(f"covariance asymmetry {asym:.3e} exceeds {COVARIANCE_TOL}")
-    min_eig = float(np.min(np.linalg.eigvalsh((p + p.T) / 2.0)))
-    if min_eig < -COVARIANCE_TOL:
-        raise CovarianceError(f"covariance eigenvalue {min_eig:.3e} below -{COVARIANCE_TOL}")
+def _check_covariance(a: float, b: float, d: float) -> None:
+    """Raise unless [[a, b], [b, d]] is PSD within tolerance; NaN fails."""
+    if not (a >= -COVARIANCE_TOL and d >= -COVARIANCE_TOL and a * d - b * b >= -COVARIANCE_TOL):
+        raise CovarianceError(
+            f"covariance [[{a:.3e}, {b:.3e}], [{b:.3e}, {d:.3e}]] is not positive "
+            f"semi-definite (tolerance {COVARIANCE_TOL})"
+        )
 
 
 class PointFilter:
     """Kalman filter over [x, y, vx, vy] with position measurements.
+
+    Exact in closed form per axis: the transition acts per axis, only
+    position is measured, and P0, Q and R are scalars times the identity,
+    so x and y never correlate and both axes share one (position,
+    velocity) covariance [[a, b], [b, d]].
 
     Born from a single detection: position from the detection center,
     velocity zero, diagonal covariance.  No measurement update is applied
@@ -90,33 +78,41 @@ class PointFilter:
     """
 
     def __init__(self, center: Tuple[float, float], params: TrackerParams):
-        self.x = np.array([center[0], center[1], 0.0, 0.0])
-        self.P = np.eye(4) * params.initial_variance
-        self._Q = np.eye(4) * params.process_noise
-        self._R = np.eye(2) * params.measurement_noise
+        self.x, self.y = center
+        self.vx = self.vy = 0.0
+        self.a = self.d = params.initial_variance
+        self.b = 0.0
+        self._q = params.process_noise
+        self._r = params.measurement_noise
 
     def predict(self) -> Tuple[float, float]:
-        self.x = F_MAT @ self.x
-        self.P = F_MAT @ self.P @ F_MAT.T + self._Q
-        _check_covariance(self.P)
-        return (float(self.x[0]), float(self.x[1]))
+        self.x += self.vx
+        self.y += self.vy
+        a, b, d, q = self.a, self.b, self.d, self._q
+        self.a, self.b, self.d = a + 2.0 * b + d + q, b + d, d + q
+        _check_covariance(self.a, self.b, self.d)
+        return (self.x, self.y)
 
     def update(self, z: Tuple[float, float]) -> float:
         """Fold in a position measurement; returns the innovation norm (px)."""
-        innovation = np.asarray(z, dtype=float) - H_MAT @ self.x
-        s = H_MAT @ self.P @ H_MAT.T + self._R
-        k = np.linalg.solve(s, H_MAT @ self.P).T
-        self.x = self.x + k @ innovation
-        # Joseph form keeps P symmetric PSD under roundoff.
-        ikh = np.eye(4) - k @ H_MAT
-        self.P = ikh @ self.P @ ikh.T + k @ self._R @ k.T
-        self.P = (self.P + self.P.T) / 2.0
-        _check_covariance(self.P)
-        return float(np.hypot(innovation[0], innovation[1]))
+        ix = z[0] - self.x
+        iy = z[1] - self.y
+        a, b, r = self.a, self.b, self._r
+        s = a + r
+        kp, kv = a / s, b / s
+        self.x += kp * ix
+        self.y += kp * iy
+        self.vx += kv * ix
+        self.vy += kv * iy
+        # Standard form (I - KH)P; with the optimal gain it equals the
+        # Joseph form and stays PSD: a' = r*a/s and det' = (r/s)*det.
+        self.a, self.b, self.d = r * kp, r * kv, self.d - b * kv
+        _check_covariance(self.a, self.b, self.d)
+        return math.hypot(ix, iy)
 
     @property
     def velocity(self) -> Tuple[float, float]:
-        return (float(self.x[2]), float(self.x[3]))
+        return (self.vx, self.vy)
 
 
 class Track:
@@ -227,7 +223,7 @@ def _step_pool(
         for dj in canon:
             det = dets[dj]
             cx, cy = det.center
-            dist = float(np.hypot(px - cx, py - cy))
+            dist = math.hypot(px - cx, py - cy)
             if dist > params.assoc_gate:
                 continue
             mismatch = 0 if det.object_class is track.last_class else 1

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import curiophys
 from curiophys import load_kb_file, write_trace_file
 from curiophys.cli import main
 from trace_builders import build_trace
@@ -215,3 +219,13 @@ def test_unknown_subcommand_exits_nonzero(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_package_needs_only_the_standard_library():
+    src = os.path.dirname(os.path.dirname(curiophys.__file__))
+    code = "import curiophys.cli, sys; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

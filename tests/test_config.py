@@ -83,9 +83,35 @@ def test_every_key_reaches_its_derived_field():
         ("alpha", 1.5, "alpha must be in"),
         ("q", 0.0, "process_noise must be positive"),
         ("impact_values", {"wall": 1.0}, "cannot carry an impact value"),
+        ("impact_values", {"sphere": 10.0}, "missing a value for cone, cube"),
         ("promotion_threshold", 0, "promotion_threshold must be >= 1"),
     ],
 )
 def test_invalid_values_are_config_errors(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_document({key: value})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("q", NAN, "q must be a finite number"),
+        ("jump_gate", INF, "jump_gate must be a finite number"),
+        ("scene_width", NAN, "scene_width must be a finite number"),
+        ("alpha", True, "alpha must be a finite number"),
+        (
+            "impact_values",
+            {"sphere": NAN, "cone": 1.0, "cube": 2.0},
+            "impact_values.sphere must be a finite number",
+        ),
+        ("impact_values", [10.0], "impact_values must be an object"),
+        ("seed", True, "seed must be an integer"),
+        ("promotion_threshold", True, "promotion_threshold must be an integer"),
+    ],
+)
+def test_non_finite_numbers_and_booleans_are_config_errors(key, value, message):
     with pytest.raises(ConfigError, match=message):
         config_from_document({key: value})

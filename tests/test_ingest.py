@@ -174,9 +174,13 @@ def test_parse_rejects_malformed_lines():
         parse_trace("{not json\n")
     with pytest.raises(TraceParseError, match="line 1.*event_id"):
         parse_trace('{"frame_count": 0}\n')
+    with pytest.raises(TraceParseError, match="line 1: frame_count must be"):
+        parse_trace('{"event_id": "e", "frame_count": true}\n{"frame_index": 0}\n')
     header = '{"event_id": "e", "frame_count": 1}\n'
     with pytest.raises(TraceParseError, match="line 2.*frame_index"):
         parse_trace(header + '{"detections": []}\n')
+    with pytest.raises(TraceParseError, match="line 3: frame_index must be"):
+        parse_trace('{"event_id": "e", "frame_count": 2}\n{"frame_index": 0}\n{"frame_index": true}\n')
     with pytest.raises(TraceParseError, match="line 2.*bbox"):
         parse_trace(
             header

@@ -230,6 +230,10 @@ def test_load_rejects_corruption():
         doc = json.loads(payload)
         doc["class_stats"][0]["class"] = "wall"
         load_kb(json.dumps(doc).encode())
+    with pytest.raises(KnowledgeLoadError, match="promotion_threshold"):
+        doc = json.loads(payload)
+        doc["promotion_threshold"] = True
+        load_kb(json.dumps(doc).encode())
     with pytest.raises(KnowledgeLoadError):
         load_kb(b"\xff\xfe not utf8 json")
 
@@ -239,6 +243,24 @@ def test_load_rejects_string_booleans(field):
     doc = json.loads(save_kb(_populated_kb()))
     doc["exceptions"][1][field] = "false"
     with pytest.raises(KnowledgeLoadError, match=rf"exceptions\[1\]: {field} must be a boolean"):
+        load_kb(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("class_stats", "mean", float("nan"), "mean must be a finite number"),
+        ("class_stats", "count", 1.9, "count must be an integer"),
+        ("exceptions", "occurrences", 1.9, "occurrences must be an integer"),
+        ("exceptions", "violation_kinds", ["vanish", "bogus"], "violation_kinds must be an array of"),
+        ("exceptions", "verdict_agent", "maybe", "verdict_agent must be one of"),
+        ("exceptions", "verdict_ground_truth", True, "verdict_ground_truth must be one of"),
+    ],
+)
+def test_load_rejects_mistyped_fields(section, field, value, message):
+    doc = json.loads(save_kb(_populated_kb()))
+    doc[section][1][field] = value
+    with pytest.raises(KnowledgeLoadError, match=rf"{section}\[1\]: {message}"):
         load_kb(json.dumps(doc).encode())
 
 

@@ -1,7 +1,6 @@
 import io
 import random
 
-import numpy as np
 import pytest
 
 from curiophys import (
@@ -16,7 +15,12 @@ from curiophys import (
     write_track_csv,
 )
 from curiophys.ingest import scripted_violation_frame
-from curiophys.tracker import CovarianceError, _check_covariance, track_discontinuities
+from curiophys.tracker import (
+    CovarianceError,
+    PointFilter,
+    _check_covariance,
+    track_discontinuities,
+)
 
 from trace_builders import ObjectScript, build_trace, linear_script
 
@@ -237,13 +241,83 @@ def test_wall_tracks_produce_no_discontinuities():
 
 
 def test_covariance_contract_guard():
-    _check_covariance(np.eye(4))
-    with pytest.raises(CovarianceError, match="asymmetry"):
-        bad = np.eye(4)
-        bad[0, 1] = 1e-6
-        _check_covariance(bad)
-    with pytest.raises(CovarianceError, match="eigenvalue"):
-        _check_covariance(-np.eye(4))
+    _check_covariance(1.0, 0.0, 1.0)
+    nan = float("nan")
+    # negative diagonals, an indefinite matrix, and NaN in each entry
+    bad_entries = [
+        (-1.0, 0.0, 1.0),
+        (1.0, 0.0, -1.0),
+        (1.0, 2.0, 1.0),
+        (nan, 0.0, 1.0),
+        (1.0, nan, 1.0),
+        (1.0, 0.0, nan),
+    ]
+    for bad in bad_entries:
+        with pytest.raises(CovarianceError, match="not positive semi-definite"):
+            _check_covariance(*bad)
+
+    # the filter checks on every predict and every update
+    f = PointFilter((0.0, 0.0), TrackerParams())
+    f.b = 1000.0
+    with pytest.raises(CovarianceError):
+        f.predict()
+    f = PointFilter((0.0, 0.0), TrackerParams())
+    f.a = nan
+    with pytest.raises(CovarianceError):
+        f.update((1.0, 1.0))
+
+
+class _MatrixFilter:
+    """Reference: the general 4x4 constant-velocity Kalman filter over
+    [x, y, vx, vy] with a Joseph-form update."""
+
+    def __init__(self, np, center, params):
+        self.np = np
+        self.F = np.array([[1.0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+        self.H = np.array([[1.0, 0, 0, 0], [0, 1, 0, 0]])
+        self.x = np.array([center[0], center[1], 0.0, 0.0])
+        self.P = np.eye(4) * params.initial_variance
+        self.Q = np.eye(4) * params.process_noise
+        self.R = np.eye(2) * params.measurement_noise
+
+    def predict(self):
+        self.x = self.F @ self.x
+        self.P = self.F @ self.P @ self.F.T + self.Q
+        return (float(self.x[0]), float(self.x[1]))
+
+    def update(self, z):
+        np, H = self.np, self.H
+        innovation = np.asarray(z, dtype=float) - H @ self.x
+        s = H @ self.P @ H.T + self.R
+        k = np.linalg.solve(s, H @ self.P).T
+        self.x = self.x + k @ innovation
+        ikh = np.eye(4) - k @ H
+        self.P = ikh @ self.P @ ikh.T + k @ self.R @ k.T
+        self.P = (self.P + self.P.T) / 2.0
+        return float(np.hypot(innovation[0], innovation[1]))
+
+
+def test_point_filter_matches_the_matrix_filter():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for _ in range(60):
+        params = TrackerParams(
+            process_noise=rng.uniform(0.1, 5.0),
+            measurement_noise=rng.uniform(0.5, 10.0),
+            initial_variance=rng.uniform(1.0, 500.0),
+        )
+        pos = (rng.uniform(0, 640), rng.uniform(0, 360))
+        vel = (rng.uniform(-6, 6), rng.uniform(-6, 6))
+        fast, ref = PointFilter(pos, params), _MatrixFilter(np, pos, params)
+        for t in range(1, 90):
+            assert fast.predict() == pytest.approx(ref.predict(), abs=1e-9)
+            if rng.random() >= 0.2:  # otherwise a dropout: the track coasts
+                z = (pos[0] + vel[0] * t + rng.gauss(0, 2), pos[1] + vel[1] * t + rng.gauss(0, 2))
+                assert fast.update(z) == pytest.approx(ref.update(z), abs=1e-9)
+            assert fast.velocity == pytest.approx(tuple(ref.x[2:]), abs=1e-9)
+            a, b, d = fast.a, fast.b, fast.d
+            shared = np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, d, 0], [0, b, 0, d]])
+            assert np.max(np.abs(shared - ref.P)) < 1e-9
 
 
 def test_tracker_params_validation():
