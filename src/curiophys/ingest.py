@@ -30,6 +30,7 @@ from .trace_model import (
     GroundTruth,
     ObjectClass,
     SceneBounds,
+    is_finite_number,
     is_integer,
     validate_trace,
 )
@@ -335,16 +336,27 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
     descriptor = obj.get("shape_descriptor")
     if descriptor is not None and not isinstance(descriptor, list):
         raise TraceParseError(f"line {line_no}: shape_descriptor must be an array")
-    try:
-        return Detection.build(
-            cls,
-            float(confidence),
-            tuple(float(v) for v in bbox),
-            tuple(float(v) for v in descriptor) if descriptor is not None else None,
-            scene=scene,
+    if not is_finite_number(confidence):
+        raise TraceParseError(
+            f"line {line_no}: confidence must be a finite number, got {confidence!r}"
         )
-    except (TypeError, ValueError):
-        raise TraceParseError(f"line {line_no}: non-numeric detection field") from None
+    box = _numbers(bbox, line_no, "bbox")
+    if descriptor is not None:
+        descriptor = _numbers(descriptor, line_no, "shape_descriptor")
+    elif box[3] == 0:
+        # the default descriptor divides by the height
+        raise TraceParseError(f"line {line_no}: bbox[3] must be > 0, got {bbox[3]!r}")
+    return Detection.build(cls, float(confidence), box, descriptor, scene=scene)
+
+
+def _numbers(values: list, line_no: int, field: str) -> tuple:
+    """The entries of a detection array field; each must be a finite JSON number."""
+    for k, value in enumerate(values):
+        if not is_finite_number(value):
+            raise TraceParseError(
+                f"line {line_no}: {field}[{k}] must be a finite number, got {value!r}"
+            )
+    return tuple(map(float, values))
 
 
 def parse_trace(

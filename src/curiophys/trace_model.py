@@ -12,6 +12,7 @@ output.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -69,8 +70,11 @@ def is_integer(value) -> bool:
 
 
 def is_finite_number(value) -> bool:
-    """A finite int or float decoded from JSON; booleans do not count."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite float, or an int decoded from JSON that a float can hold;
+    booleans do not count."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_integer(value) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -216,11 +220,22 @@ def validate_trace(trace: EventTrace) -> list[str]:
                 violations.append(
                     f"{where}: confidence {det.confidence} outside [0, 1]"
                 )
+            bbox_finite = len(det.bbox) == 4
+            if not bbox_finite:
+                violations.append(f"{where}: bbox has {len(det.bbox)} entries, expected 4")
             for name, value in zip(("x", "y", "width", "height"), det.bbox):
                 if not math.isfinite(value):
                     violations.append(f"{where}: bbox {name} {value} is not finite")
+                    bbox_finite = False
                 elif name in ("width", "height") and value <= 0:
                     violations.append(f"{where}: bbox {name} must be > 0, got {value}")
+            if bbox_finite:
+                # finite entries near the float limit: x + width/2 overflows
+                cx, cy = det.center
+                if not math.isfinite(cx):
+                    violations.append(f"{where}: bbox center x {cx} is not finite")
+                if not math.isfinite(cy):
+                    violations.append(f"{where}: bbox center y {cy} is not finite")
             for k, value in enumerate(det.shape_descriptor):
                 if not math.isfinite(value):
                     violations.append(f"{where}: shape_descriptor[{k}] {value} is not finite")

@@ -11,7 +11,11 @@ filter: with isotropic noise both axes share one 2x2 covariance exactly.
 Association is greedy nearest-neighbor over predicted centers and is
 independent of detection order within a frame: candidate pairs are sorted
 globally by (distance, class mismatch, track id, detection content) before
-assignment, and new tracks are born in detection-content order.
+assignment, and new tracks are born in detection-content order.  Every
+track is tested against every detection of its pool, so a frame costs time
+in tracks times detections; at twenty objects per frame that is faster
+than bucketing detections in a grid.  A non-finite center or prediction
+has no candidates.
 """
 from __future__ import annotations
 
@@ -120,22 +124,29 @@ class Track:
 
     Per-frame lists are aligned and indexed by (frame - first_frame); they
     always extend to the final frame of the trace.  A frame's detection is
-    None where the track coasted.
+    None where the track coasted.  last_class is the class of the latest
+    observed detection.
     """
 
     def __init__(self, track_id: int, first_frame: int, det: Detection, params: TrackerParams):
         self.track_id = track_id
         self.first_frame = first_frame
         self.is_occluder = det.object_class is ObjectClass.WALL
-        self.filter = PointFilter(det.center, params)
+        center = det.center
+        self.filter = PointFilter(center, params)
         self.detections: list[Optional[Detection]] = [det]
         # at birth the prediction is the detection itself
-        self.centers_predicted: list[Tuple[float, float]] = [det.center]
+        self.centers_predicted: list[Tuple[float, float]] = [center]
         self.residuals: list[Optional[float]] = [0.0]
         self.velocities: list[Tuple[float, float]] = [(0.0, 0.0)]
+        self.last_class = det.object_class
+        self._class_counts = {det.object_class: 1}
 
     def observe(self, det: Detection, predicted: Tuple[float, float]) -> float:
         residual = self.filter.update(det.center)
+        cls = det.object_class
+        self.last_class = cls
+        self._class_counts[cls] = self._class_counts.get(cls, 0) + 1
         self.detections.append(det)
         self.centers_predicted.append(predicted)
         self.residuals.append(residual)
@@ -177,20 +188,11 @@ class Track:
         return sum(1 for d in self.detections if d is not None)
 
     @property
-    def last_class(self) -> ObjectClass:
-        for det in reversed(self.detections):
-            if det is not None:
-                return det.object_class
-        raise RuntimeError("track has no observations")
-
-    @property
     def resolved_class(self) -> ObjectClass:
         """Majority class over observed frames; ties go to the smaller class
         in canonical order, so an exact half-way switch resolves to the
         class the object started as."""
-        counts: dict[ObjectClass, int] = {}
-        for _, det in self.observed():
-            counts[det.object_class] = counts.get(det.object_class, 0) + 1
+        counts = self._class_counts
         return max(counts, key=lambda c: (counts[c], -class_order_index(c)))
 
     def __repr__(self) -> str:
@@ -215,19 +217,26 @@ def _step_pool(
     """Advance one association pool (objects or walls) by a single frame;
     returns the detections that matched no track and should start new ones."""
     predictions = [t.filter.predict() for t in pool]
-    canon = sorted(range(len(dets)), key=lambda j: _det_key(dets[j]))
+    if not dets:
+        for track, predicted in zip(pool, predictions):
+            track.coast(predicted)
+        return []
+
+    gate = params.assoc_gate
+    keys = [_det_key(d) for d in dets]
+    canon = sorted(range(len(dets)), key=keys.__getitem__)
+    candidates = [(*dets[dj].center, dets[dj].object_class, keys[dj], dj) for dj in canon]
 
     pairs = []
+    hypot = math.hypot
     for ti, track in enumerate(pool):
         px, py = predictions[ti]
-        for dj in canon:
-            det = dets[dj]
-            cx, cy = det.center
-            dist = math.hypot(px - cx, py - cy)
-            if dist > params.assoc_gate:
+        cls, tid = track.last_class, track.track_id
+        for cx, cy, det_cls, key, dj in candidates:
+            dist = hypot(px - cx, py - cy)
+            if not dist <= gate:  # NaN is never a candidate
                 continue
-            mismatch = 0 if det.object_class is track.last_class else 1
-            pairs.append((dist, mismatch, track.track_id, _det_key(det), ti, dj))
+            pairs.append((dist, 0 if det_cls is cls else 1, tid, key, ti, dj))
     pairs.sort(key=lambda p: p[:4])
 
     track_taken = [False] * len(pool)
@@ -253,15 +262,20 @@ def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> l
     generator output.
     """
     tracks: list[Track] = []
-    next_id = 0
+    objects: list[Track] = []
+    walls: list[Track] = []
     for frame in trace.frames:
-        obj_dets = [d for d in frame.detections if d.object_class is not ObjectClass.WALL]
-        wall_dets = [d for d in frame.detections if d.object_class is ObjectClass.WALL]
-        for dets, is_wall_pool in ((obj_dets, False), (wall_dets, True)):
-            pool = [t for t in tracks if t.is_occluder == is_wall_pool]
+        obj_dets: list[Detection] = []
+        wall_dets: list[Detection] = []
+        for det in frame.detections:
+            (wall_dets if det.object_class is ObjectClass.WALL else obj_dets).append(det)
+        for pool, dets in ((objects, obj_dets), (walls, wall_dets)):
+            if not pool and not dets:
+                continue
             for det in _step_pool(pool, dets, params):
-                tracks.append(Track(next_id, frame.frame_index, det, params))
-                next_id += 1
+                track = Track(len(tracks), frame.frame_index, det, params)
+                tracks.append(track)
+                pool.append(track)
     return tracks
 
 

@@ -6,7 +6,14 @@ import sys
 import pytest
 
 import curiophys
-from curiophys import load_kb_file, write_trace_file
+from curiophys import (
+    Detection,
+    EventTrace,
+    FrameRecord,
+    ObjectClass,
+    load_kb_file,
+    write_trace_file,
+)
 from curiophys.cli import main
 from trace_builders import build_trace
 
@@ -129,6 +136,26 @@ def test_classify_partial_failure_exit_code(tmp_path, capsys):
     lines = (out_dir / "verdicts.jsonl").read_text().splitlines()
     assert len(lines) == 2
     assert "error" in json.loads(lines[1])
+
+
+def test_classify_rejects_an_overflowing_bbox_center(tmp_path, capsys):
+    det = Detection(ObjectClass.SPHERE, 0.6, (1.7e308, 100.0, 1e308, 20.0), (1.0, 0.01))
+    trace = EventTrace("overflow", (FrameRecord(0, (det,)),), None)
+    path = tmp_path / "overflow.jsonl"
+    write_trace_file(trace, path)
+    assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 1
+    assert "frame 0, detection 0: bbox center x inf is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "results" / "verdicts.jsonl").exists()
+
+
+def test_classify_rejects_a_number_too_large_for_a_float(tmp_path, capsys):
+    det = Detection(ObjectClass.SPHERE, 0.6, (123.25, 100.0, 20.0, 20.0), (1.0, 0.01))
+    path = tmp_path / "huge.jsonl"
+    write_trace_file(EventTrace("huge", (FrameRecord(0, (det,)),), None), path)
+    # a JSON integer literal of 401 digits decodes to an int no float can hold
+    path.write_text(path.read_text().replace("123.25", "1" + "0" * 400))
+    assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 1
+    assert "line 2: bbox[0] must be a finite number, got 1000" in capsys.readouterr().err
 
 
 def test_plot_writes_svg_and_csv(tmp_path, capsys):

@@ -110,6 +110,7 @@ NAN, INF = float("nan"), float("inf")
         ("impact_values", [10.0], "impact_values must be an object"),
         ("seed", True, "seed must be an integer"),
         ("promotion_threshold", True, "promotion_threshold must be an integer"),
+        ("beta", 10**400, "beta must be a finite number"),  # too large for a float
     ],
 )
 def test_non_finite_numbers_and_booleans_are_config_errors(key, value, message):

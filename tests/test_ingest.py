@@ -211,23 +211,75 @@ def test_parse_rejects_string_boolean_ground_truth():
         parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
-@pytest.mark.parametrize(
-    "slot, value, message",
-    [
-        (2, float("nan"), "frame 5, detection 0: bbox width nan is not finite"),
-        (0, float("inf"), "frame 5, detection 0: bbox x inf is not finite"),
-    ],
-)
-def test_parse_rejects_non_finite_bbox(slot, value, message):
+def _doctor_frame_5(edit) -> str:
+    """A generated 12-frame trace whose frame 5 (line 7) detection went
+    through edit(detection_dict)."""
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
     lines = encode_trace(trace).splitlines()
     frame = json.loads(lines[6])
-    frame["detections"][0]["bbox"][slot] = value
-    doctored = "\n".join(lines[:6] + [json.dumps(frame)] + lines[7:]) + "\n"
-    with pytest.raises(TraceValidationError) as excinfo:
-        parse_trace(doctored)
-    assert excinfo.value.violations == [message]
+    edit(frame["detections"][0])
+    return "\n".join(lines[:6] + [json.dumps(frame)] + lines[7:]) + "\n"
 
+
+def _set_field(field, value):
+    def edit(det):
+        if field == "confidence":
+            det["confidence"] = value
+        else:
+            name, slot = field.rstrip("]").split("[")
+            det[name][int(slot)] = value
+
+    return edit
+
+
+NUMBER_FIELDS = [
+    "confidence",
+    "bbox[0]",
+    "bbox[1]",
+    "bbox[2]",
+    "bbox[3]",
+    "shape_descriptor[0]",
+    "shape_descriptor[1]",
+]
+NOT_NUMBERS = [
+    ("true", True),
+    ("string", "100"),
+    ("nan", float("nan")),
+    ("inf", float("inf")),
+    ("-inf", float("-inf")),
+    ("big-int", 10**400),  # too large for a float
+]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in NUMBER_FIELDS for _, v in NOT_NUMBERS],
+    ids=[f"{f}-{name}" for f in NUMBER_FIELDS for name, _ in NOT_NUMBERS],
+)
+def test_parse_rejects_non_numeric_detection_field(field, value):
+    doctored = _doctor_frame_5(_set_field(field, value))
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(doctored)
+    assert str(excinfo.value) == f"line 7: {field} must be a finite number, got {value!r}"
+
+
+def test_parse_rejects_zero_height_without_descriptor():
+    def edit(det):
+        det["bbox"][3] = 0
+        del det["shape_descriptor"]
+
+    with pytest.raises(TraceParseError, match=r"^line 7: bbox\[3\] must be > 0, got 0$"):
+        parse_trace(_doctor_frame_5(edit))
+
+
+def test_parse_rejects_an_overflowing_bbox_center():
+    # every entry is finite, but x + width/2 is not
+    def edit(det):
+        det["bbox"] = [1.7e308, 100, 1e308, 20]
+
+    with pytest.raises(TraceValidationError) as excinfo:
+        parse_trace(_doctor_frame_5(edit))
+    assert excinfo.value.violations == ["frame 5, detection 0: bbox center x inf is not finite"]
 
 def test_parse_ignores_unknown_fields_and_never_writes_them():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))

@@ -255,6 +255,7 @@ def test_load_rejects_string_booleans(field):
         ("exceptions", "violation_kinds", ["vanish", "bogus"], "violation_kinds must be an array of"),
         ("exceptions", "verdict_agent", "maybe", "verdict_agent must be one of"),
         ("exceptions", "verdict_ground_truth", True, "verdict_ground_truth must be one of"),
+        ("class_stats", "mean", 10**400, "mean must be a finite number"),
     ],
 )
 def test_load_rejects_mistyped_fields(section, field, value, message):

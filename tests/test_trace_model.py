@@ -111,6 +111,23 @@ def test_validate_trace_flags_non_finite_numbers():
     ]
 
 
+def test_validate_trace_flags_an_overflowing_center_and_a_short_bbox():
+    # finite entries whose center x + width/2 (or y + height/2) overflows,
+    # and a bbox built in code with one entry missing
+    dets = (
+        Detection(ObjectClass.SPHERE, 0.5, (1.7e308, 100, 1e308, 20), (1.0, 0.1)),
+        Detection(ObjectClass.SPHERE, 0.5, (0, 1.7e308, 10, 1e308), (1.0, 0.1)),
+        Detection(ObjectClass.SPHERE, 0.5, (1.7e308, 0, 10, 10), (1.0, 0.1)),
+        Detection(ObjectClass.SPHERE, 0.5, (0, 0, 10), (1.0, 0.1)),
+    )
+    trace = EventTrace("overflow", (FrameRecord(0, dets),), None)
+    assert validate_trace(trace) == [
+        "frame 0, detection 0: bbox center x inf is not finite",
+        "frame 0, detection 1: bbox center y inf is not finite",
+        "frame 0, detection 3: bbox has 3 entries, expected 4",
+    ]
+
+
 def test_validate_trace_flags_unknown_detection_class():
     det = Detection(ObjectClass.UNKNOWN, 0.5, (0, 0, 10, 10), (1.0, 0.1))
     trace = EventTrace("unk", (FrameRecord(0, (det,)),), None)

@@ -1,10 +1,14 @@
 import io
+import math
 import random
 
 import pytest
 
 from curiophys import (
+    Detection,
     DiscontinuityKind,
+    EventTrace,
+    FrameRecord,
     ObjectClass,
     ScenarioKind,
     TrackerParams,
@@ -15,10 +19,14 @@ from curiophys import (
     write_track_csv,
 )
 from curiophys.ingest import scripted_violation_frame
+from curiophys.trace_model import class_order_index
 from curiophys.tracker import (
     CovarianceError,
     PointFilter,
+    Track,
     _check_covariance,
+    _det_key,
+    _step_pool,
     track_discontinuities,
 )
 
@@ -344,3 +352,208 @@ def test_track_csv_rows():
     assert row0[1] == "50.000000" and row0[6] == "1"
     # coasted frames still carry predictions
     assert row4[3] != ""
+
+
+def test_last_and_resolved_class_follow_each_observation():
+    def det(cls):
+        return Detection.build(cls, 0.6, (90.0, 90.0, 20.0, 20.0))
+
+    params = TrackerParams()
+    track = Track(0, 0, det(ObjectClass.CONE), params)
+    steps = [
+        # observed class, last_class, resolved_class
+        (ObjectClass.SPHERE, ObjectClass.SPHERE, ObjectClass.SPHERE),  # 1:1 tie, sphere first
+        (ObjectClass.CONE, ObjectClass.CONE, ObjectClass.CONE),
+        (None, ObjectClass.CONE, ObjectClass.CONE),  # a coasted frame changes nothing
+        (ObjectClass.CUBE, ObjectClass.CUBE, ObjectClass.CONE),
+        (ObjectClass.CUBE, ObjectClass.CUBE, ObjectClass.CONE),  # 2:2 tie, cone before cube
+        (ObjectClass.CUBE, ObjectClass.CUBE, ObjectClass.CUBE),
+    ]
+    for cls, last, resolved in steps:
+        predicted = track.filter.predict()
+        if cls is None:
+            track.coast(predicted)
+        else:
+            track.observe(det(cls), predicted)
+        assert (track.last_class, track.resolved_class) == (last, resolved)
+
+
+# -- association parity ------------------------------------------------------
+
+
+def _reference_step_pool(pool, dets, params):
+    """Reference: the all-pairs association loop, which tests every track
+    against every detection and reads the last class from the detections."""
+    predictions = [t.filter.predict() for t in pool]
+    canon = sorted(range(len(dets)), key=lambda j: _det_key(dets[j]))
+
+    pairs = []
+    for ti, track in enumerate(pool):
+        last_class = next(d.object_class for d in reversed(track.detections) if d is not None)
+        px, py = predictions[ti]
+        for dj in canon:
+            det = dets[dj]
+            cx, cy = det.center
+            dist = math.hypot(px - cx, py - cy)
+            if dist > params.assoc_gate:
+                continue
+            mismatch = 0 if det.object_class is last_class else 1
+            pairs.append((dist, mismatch, track.track_id, _det_key(det), ti, dj))
+    pairs.sort(key=lambda p: p[:4])
+
+    track_taken = [False] * len(pool)
+    det_taken = [False] * len(dets)
+    for _, _, _, _, ti, dj in pairs:
+        if track_taken[ti] or det_taken[dj]:
+            continue
+        track_taken[ti] = True
+        det_taken[dj] = True
+        pool[ti].observe(dets[dj], predictions[ti])
+
+    for ti, track in enumerate(pool):
+        if not track_taken[ti]:
+            track.coast(predictions[ti])
+
+    return [dets[dj] for dj in canon if not det_taken[dj]]
+
+
+def _reference_track_event(trace, params):
+    tracks = []
+    for frame in trace.frames:
+        obj_dets = [d for d in frame.detections if d.object_class is not ObjectClass.WALL]
+        wall_dets = [d for d in frame.detections if d.object_class is ObjectClass.WALL]
+        for dets, is_wall_pool in ((obj_dets, False), (wall_dets, True)):
+            pool = [t for t in tracks if t.is_occluder == is_wall_pool]
+            for det in _reference_step_pool(pool, dets, params):
+                tracks.append(Track(len(tracks), frame.frame_index, det, params))
+    return tracks
+
+
+def _reference_resolved_class(track):
+    counts = {}
+    for _, det in track.observed():
+        counts[det.object_class] = counts.get(det.object_class, 0) + 1
+    return max(counts, key=lambda c: (counts[c], -class_order_index(c)))
+
+
+def _track_summary(tracks):
+    return [
+        (
+            t.track_id,
+            t.first_frame,
+            t.is_occluder,
+            t.detections,
+            t.centers_predicted,
+            t.residuals,
+            t.velocities,
+            t.last_class,
+            t.resolved_class,
+        )
+        for t in tracks
+    ]
+
+
+def _unit_box(center, cls=ObjectClass.SPHERE):
+    # a 1x1 box, so x + 0.5 gives the center back exactly
+    return Detection.build(cls, 0.6, (center[0] - 0.5, center[1] - 0.5, 1.0, 1.0), (1.0, 0.1))
+
+
+# (first center, second center, gate, tracks' detected frames)
+GATE_CASES = [
+    ((96.0, 20.0), (146.0, 20.0), 50.0, [2]),  # exactly the gate
+    ((96.0, 20.0), (math.nextafter(146.0, math.inf), 20.0), 50.0, [1, 1]),  # just beyond
+    ((20.0, -96.0), (20.0, -46.0), 50.0, [2]),  # the same on y, at negative coordinates
+    ((20.0, -96.0), (20.0, math.nextafter(-46.0, math.inf)), 50.0, [1, 1]),
+    ((-130.0, -90.0), (-100.0, -50.0), 50.0, [2]),  # a 30-40-50 triangle
+    ((0.9999999999999999, 0.5), (2.0, 0.5), 1.0, [2]),  # the difference rounds down to the gate
+    ((-1000.0, 500.0), (-1000.0, 507.5), 7.5, [2]),  # off the scene, a non-default gate
+    ((1e308, 1e308), (1e308, 1e308), 50.0, [2]),  # near the float limit
+    ((1e308, 1e308), (math.nextafter(1e308, math.inf), 1e308), 50.0, [1, 1]),
+]
+
+
+def test_gate_boundaries_match_the_reference():
+    for first, second, gate, detected in GATE_CASES:
+        trace = EventTrace(
+            "gate",
+            (FrameRecord(0, (_unit_box(first),)), FrameRecord(1, (_unit_box(second),))),
+            None,
+        )
+        params = TrackerParams(assoc_gate=gate)
+        tracks = track_event(trace, params)
+        assert _track_summary(tracks) == _track_summary(_reference_track_event(trace, params))
+        assert [t.detected_frames for t in tracks] == detected, (first, second, gate)
+
+
+def test_non_finite_positions_get_no_candidates():
+    # a trace built in code skips validate_trace: one center overflows to
+    # inf and one is NaN; neither may raise, match or be matched
+    overflow = Detection.build(ObjectClass.SPHERE, 0.6, (1.7e308, 100.0, 1e308, 20.0), (1.0, 0.1))
+    nan_box = Detection.build(ObjectClass.SPHERE, 0.6, (math.nan, 100.0, 20.0, 20.0), (1.0, 0.1))
+    trace = EventTrace(
+        "non-finite", tuple(FrameRecord(t, (overflow, nan_box)) for t in range(3)), None
+    )
+    tracks = track_event(trace)
+    assert [(t.first_frame, t.detected_frames) for t in tracks] == [
+        (0, 1), (0, 1), (1, 1), (1, 1), (2, 1), (2, 1)
+    ]
+
+
+def test_nan_prediction_coasts():
+    params = TrackerParams()
+    det = _unit_box((100.0, 100.0))
+    track = Track(0, 0, det, params)
+    track.filter.x = math.nan
+    assert _step_pool([track], [det], params) == [det]
+    assert track.detections == [det, None]
+    assert math.isnan(track.centers_predicted[1][0])
+
+
+def test_association_matches_the_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    classes = st.sampled_from(
+        [ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE, ObjectClass.WALL]
+    )
+
+    @st.composite
+    def scenes(draw):
+        gate = draw(st.sampled_from([50.0, 1.0, 7.5, 33.3]) | st.floats(0.5, 300.0))
+
+        def near(value):
+            # the value itself or a few ulps either side
+            steps = draw(st.integers(-3, 3))
+            for _ in range(abs(steps)):
+                value = math.nextafter(value, math.copysign(math.inf, steps))
+            return value
+
+        coordinate = st.one_of(
+            st.integers(-12, 12).map(lambda k: k * gate),  # multiples of the gate
+            st.integers(0, 60).map(lambda m: 2.0 ** m * gate),  # coarse rounding far out
+            st.floats(-2000.0, 3000.0),  # in and far off the 640x360 scene
+            st.sampled_from([1e308, -1e308, 1.5e308, 2.0 ** 1000]),  # near the float limit
+        )
+        anchors = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5))
+        offset = st.sampled_from(
+            [0.0, gate, -gate, gate / 2, -gate / 2, 2.0 * gate, 0.6 * gate, 0.8 * gate]
+        )
+        frames = []
+        for t in range(draw(st.integers(1, 7))):
+            dets = []
+            for _ in range(draw(st.integers(0, 10))):
+                ax, ay = draw(st.sampled_from(anchors))
+                cx, cy = near(ax + draw(offset)), near(ay + draw(offset))
+                dets.append(_unit_box((cx, cy), draw(classes)))
+            frames.append(FrameRecord(t, tuple(dets)))
+        return EventTrace("parity", tuple(frames), None), TrackerParams(assoc_gate=gate)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(scenes())
+    def check(scene):
+        trace, params = scene
+        assert _track_summary(track_event(trace, params)) == _track_summary(
+            _reference_track_event(trace, params)
+        )
+
+    check()
