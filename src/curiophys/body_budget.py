@@ -73,6 +73,14 @@ def _reject_occluder(track: Track) -> None:
         raise ValueError(f"track {track.track_id} is a wall; occluders are not scored")
 
 
+def _confidence_total(track: Track) -> float:
+    return sum(det.confidence for det in track.detections if det is not None)
+
+
+def _object_permanence(total: float, profile: ClassProfile) -> float:
+    return total * profile.impact_value / IMPACT_SCALE
+
+
 def score_object_permanence(track: Track, profile: ClassProfile) -> float:
     """Sum of (confidence x impact value) over detected frames, / 1000.
 
@@ -80,8 +88,7 @@ def score_object_permanence(track: Track, profile: ClassProfile) -> float:
     under different class hypotheses.
     """
     _reject_occluder(track)
-    total = sum(det.confidence for _, det in track.observed())
-    return total * profile.impact_value / IMPACT_SCALE
+    return _object_permanence(_confidence_total(track), profile)
 
 
 def score_spatial_temporal(track: Track, n: int) -> float:
@@ -95,18 +102,27 @@ def score_spatial_temporal(track: Track, n: int) -> float:
     return detected / n
 
 
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(sum(x * x for x in v))
+
+
+def _normalized_distance(
+    a: Sequence[float], b: Sequence[float], norm_a: float, norm_b: float
+) -> float:
+    if len(a) != len(b):
+        raise ValueError(f"descriptor dimensions differ: {len(a)} vs {len(b)}")
+    denom = norm_a + norm_b
+    if denom == 0.0:
+        return 0.0
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))) / denom
+
+
 def normalized_euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """||a - b|| / (||a|| + ||b||), in [0, 1] by the triangle inequality.
 
     Two zero vectors are identical, distance 0.
     """
-    if len(a) != len(b):
-        raise ValueError(f"descriptor dimensions differ: {len(a)} vs {len(b)}")
-    diff = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-    denom = math.sqrt(sum(x * x for x in a)) + math.sqrt(sum(y * y for y in b))
-    if denom == 0.0:
-        return 0.0
-    return diff / denom
+    return _normalized_distance(a, b, _norm(a), _norm(b))
 
 
 def score_shape_constancy(track: Track, mode: str = "descriptor") -> float:
@@ -120,17 +136,22 @@ def score_shape_constancy(track: Track, mode: str = "descriptor") -> float:
     _reject_occluder(track)
     if mode not in SC_MODES:
         raise ValueError(f"unknown shape-constancy mode {mode!r}; expected one of {SC_MODES}")
-    dets = [det for _, det in track.observed()]
+    dets = [det for det in track.detections if det is not None]
     if not dets:
         raise ValueError(f"track {track.track_id} has no detections to score")
     if mode == "confidence":
         return min(1.0, max(0.0, sum(d.confidence for d in dets) / len(dets)))
     if len(dets) == 1:
         return dets[0].confidence
-    distances = [
-        normalized_euclidean_distance(a.shape_descriptor, b.shape_descriptor)
-        for a, b in zip(dets, dets[1:])
-    ]
+    # each descriptor's norm is computed once and shared by its two pairs
+    prev = dets[0].shape_descriptor
+    prev_norm = _norm(prev)
+    distances = []
+    for det in dets[1:]:
+        cur = det.shape_descriptor
+        cur_norm = _norm(cur)
+        distances.append(_normalized_distance(prev, cur, prev_norm, cur_norm))
+        prev, prev_norm = cur, cur_norm
     return min(1.0, max(0.0, 1.0 - sum(distances) / len(distances)))
 
 
@@ -176,8 +197,9 @@ def hypothesis_scores(
         profiles = default_profiles()
     s_sc = score_shape_constancy(track, sc_mode)
     s_stc = score_spatial_temporal(track, n)
+    total = _confidence_total(track)
     return {
-        cls: _bundle(score_object_permanence(track, profiles[cls]), s_sc, s_stc, weights)
+        cls: _bundle(_object_permanence(total, profiles[cls]), s_sc, s_stc, weights)
         for cls in SCOREABLE_CLASSES
         if cls in profiles
     }

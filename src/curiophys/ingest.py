@@ -391,7 +391,9 @@ def parse_trace(
         return record
 
     header = load_line(0)
-    event_id = str(_require(header, "event_id", 1))
+    event_id = _require(header, "event_id", 1)
+    if not isinstance(event_id, str):
+        raise TraceParseError(f"line 1: event_id must be a string, got {event_id!r}")
     frame_count = _require(header, "frame_count", 1)
     if not is_integer(frame_count) or frame_count < 0:
         raise TraceParseError("line 1: frame_count must be a non-negative integer")

@@ -313,6 +313,13 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool)
 
 
+def _section(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise _load_error(f"{key} must be an array, got {value!r}")
+    return value
+
+
 def kb_from_document(doc) -> KnowledgeBase:
     if not isinstance(doc, dict):
         raise _load_error("top-level document must be an object")
@@ -324,7 +331,7 @@ def kb_from_document(doc) -> KnowledgeBase:
         raise _load_error(f"promotion_threshold must be a positive integer, got {threshold!r}")
     kb = KnowledgeBase(promotion_threshold=threshold)
 
-    for i, entry in enumerate(doc.get("class_stats", [])):
+    for i, entry in enumerate(_section(doc, "class_stats")):
         try:
             cls = ObjectClass.from_name(entry["class"])
             mean = float(_field(entry, "mean", is_finite_number, "a finite number"))
@@ -337,7 +344,7 @@ def kb_from_document(doc) -> KnowledgeBase:
             raise _load_error(f"class_stats[{i}]: invalid mean/count ({mean}, {count})")
         kb._stats[cls] = ClassStats(cls, a_mean=mean, count=count)
 
-    for i, entry in enumerate(doc.get("exceptions", [])):
+    for i, entry in enumerate(_section(doc, "exceptions")):
         try:
             signature = ExceptionSignature.build(
                 _field(entry, "violation_kinds", _is_kind_list, f"an array of {_KIND_WORDS}"),

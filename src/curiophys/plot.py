@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from typing import Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 from .trace_model import EventTrace
 from .tracker import (
@@ -32,6 +31,11 @@ _MARGIN_R = 170
 _MARGIN_T = 34
 _PANEL_GAP = 36
 _MARGIN_B = 30
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -186,7 +190,7 @@ def render_event_svg(
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{_MARGIN_L}" y="20" font-size="13" font-weight="bold">'
-        f"{escape(trace.event_id)}</text>",
+        f"{_escape(trace.event_id)}</text>",
     ]
     parts.extend(
         _panel_svg(tracks, discontinuities, trace.frame_count, 0, "x (px)", _MARGIN_T)
@@ -206,7 +210,7 @@ def render_event_svg(
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 18}" y2="{ly}" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{lx + 24}" y="{ly + 4}" font-size="11">track {track.track_id} '
-            f"({escape(kind)})</text>"
+            f"({_escape(kind)})</text>"
         )
         ly += 16
     parts.append(

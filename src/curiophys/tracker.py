@@ -9,13 +9,16 @@ against occluder geometry.  The filter is a closed-form per-axis Kalman
 filter: with isotropic noise both axes share one 2x2 covariance exactly.
 
 Association is greedy nearest-neighbor over predicted centers and is
-independent of detection order within a frame: candidate pairs are sorted
-globally by (distance, class mismatch, track id, detection content) before
-assignment, and new tracks are born in detection-content order.  Every
-track is tested against every detection of its pool, so a frame costs time
-in tracks times detections; at twenty objects per frame that is faster
-than bucketing detections in a grid.  A non-finite center or prediction
-has no candidates.
+independent of detection order within a frame.  A frame's detections are
+ranked by content (bbox, class, confidence, descriptor); candidate pairs
+are sorted globally by (distance, class mismatch, track id, detection rank)
+before assignment, and new tracks are born in rank order.  Ties between
+detections are thus broken by canonical rank, which orders exactly as
+their content does for the totally ordered (NaN-free) values the parser
+and validate_trace admit.  Every track is tested against every detection
+of its pool, so a frame costs time in tracks times detections; at twenty
+objects per frame that is faster than bucketing detections in a grid.
+A non-finite center or prediction has no candidates.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterator, Optional, Sequence, Tuple
 
-from .trace_model import Detection, EventTrace, ObjectClass, class_order_index
+from .trace_model import CLASS_ORDER, Detection, EventTrace, ObjectClass, class_order_index
 
 # Tolerance for the covariance positive semi-definiteness contract.
 COVARIANCE_TOL = 1e-9
@@ -125,7 +128,8 @@ class Track:
     Per-frame lists are aligned and indexed by (frame - first_frame); they
     always extend to the final frame of the trace.  A frame's detection is
     None where the track coasted.  last_class is the class of the latest
-    observed detection.
+    observed detection; _class_counts counts observed detections per class,
+    indexed by position in CLASS_ORDER.
     """
 
     def __init__(self, track_id: int, first_frame: int, det: Detection, params: TrackerParams):
@@ -140,13 +144,14 @@ class Track:
         self.residuals: list[Optional[float]] = [0.0]
         self.velocities: list[Tuple[float, float]] = [(0.0, 0.0)]
         self.last_class = det.object_class
-        self._class_counts = {det.object_class: 1}
+        self._class_counts = [0] * len(CLASS_ORDER)
+        self._class_counts[CLASS_ORDER.index(det.object_class)] = 1
 
     def observe(self, det: Detection, predicted: Tuple[float, float]) -> float:
         residual = self.filter.update(det.center)
         cls = det.object_class
         self.last_class = cls
-        self._class_counts[cls] = self._class_counts.get(cls, 0) + 1
+        self._class_counts[CLASS_ORDER.index(cls)] += 1
         self.detections.append(det)
         self.centers_predicted.append(predicted)
         self.residuals.append(residual)
@@ -185,7 +190,7 @@ class Track:
 
     @property
     def detected_frames(self) -> int:
-        return sum(1 for d in self.detections if d is not None)
+        return sum(self._class_counts)
 
     @property
     def resolved_class(self) -> ObjectClass:
@@ -193,7 +198,7 @@ class Track:
         in canonical order, so an exact half-way switch resolves to the
         class the object started as."""
         counts = self._class_counts
-        return max(counts, key=lambda c: (counts[c], -class_order_index(c)))
+        return CLASS_ORDER[counts.index(max(counts))]
 
     def __repr__(self) -> str:
         return (
@@ -223,21 +228,29 @@ def _step_pool(
         return []
 
     gate = params.assoc_gate
-    keys = [_det_key(d) for d in dets]
-    canon = sorted(range(len(dets)), key=keys.__getitem__)
-    candidates = [(*dets[dj].center, dets[dj].object_class, keys[dj], dj) for dj in canon]
+    if len(dets) == 1:
+        canon = [0]
+    else:
+        keys = [_det_key(d) for d in dets]
+        canon = sorted(range(len(dets)), key=keys.__getitem__)
+    candidates = [
+        (*dets[dj].center, dets[dj].object_class, rank, dj) for rank, dj in enumerate(canon)
+    ]
 
+    # A detection's rank, its position in canon, stands in for its content
+    # key: ranks order as the keys do, and equal keys are equal content.
+    # (track id, rank) is unique, so the sort never compares ti or dj.
     pairs = []
     hypot = math.hypot
     for ti, track in enumerate(pool):
         px, py = predictions[ti]
         cls, tid = track.last_class, track.track_id
-        for cx, cy, det_cls, key, dj in candidates:
+        for cx, cy, det_cls, rank, dj in candidates:
             dist = hypot(px - cx, py - cy)
             if not dist <= gate:  # NaN is never a candidate
                 continue
-            pairs.append((dist, 0 if det_cls is cls else 1, tid, key, ti, dj))
-    pairs.sort(key=lambda p: p[:4])
+            pairs.append((dist, 0 if det_cls is cls else 1, tid, rank, ti, dj))
+    pairs.sort()
 
     track_taken = [False] * len(pool)
     det_taken = [False] * len(dets)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,6 +21,9 @@ from curiophys import (
     score_track,
     track_event,
 )
+from curiophys.body_budget import IMPACT_SCALE
+from curiophys.trace_model import SCOREABLE_CLASSES, Detection
+from curiophys.tracker import Track, TrackerParams
 
 from trace_builders import ObjectScript, build_trace, linear_script
 
@@ -218,3 +222,85 @@ def test_focus_track_selection():
     focus = focus_track(tracks)
     assert focus is not None and focus.resolved_class is ObjectClass.SPHERE
     assert focus_track([t for t in tracks if t.is_occluder]) is None
+
+
+# -- parity with the per-pair form -------------------------------------------
+
+
+def _reference_distance(a, b):
+    """The per-pair form: both norms computed for every consecutive pair."""
+    if len(a) != len(b):
+        raise ValueError(f"descriptor dimensions differ: {len(a)} vs {len(b)}")
+    diff = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    denom = math.sqrt(sum(x * x for x in a)) + math.sqrt(sum(y * y for y in b))
+    if denom == 0.0:
+        return 0.0
+    return diff / denom
+
+
+def _reference_scores(track, n, profile, weights, sc_mode):
+    """One class hypothesis scored from a walk over the track's frames."""
+    dets = [det for det in track.detections if det is not None]
+    s_op = sum(d.confidence for d in dets) * profile.impact_value / IMPACT_SCALE
+    if sc_mode == "confidence":
+        s_sc = min(1.0, max(0.0, sum(d.confidence for d in dets) / len(dets)))
+    elif len(dets) == 1:
+        s_sc = dets[0].confidence
+    else:
+        distances = [
+            _reference_distance(a.shape_descriptor, b.shape_descriptor)
+            for a, b in zip(dets, dets[1:])
+        ]
+        s_sc = min(1.0, max(0.0, 1.0 - sum(distances) / len(distances)))
+    s_stc = len(dets) / n
+    a = composite_score(s_op, s_sc, s_stc, weights)
+    return BodyBudgetScores(s_op, s_sc, s_stc, a, weights)
+
+
+def test_scores_match_the_per_pair_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        dim = draw(st.integers(1, 4))
+        value = st.just(0.0) | st.floats(-1e3, 1e3) | st.sampled_from([1e-300, 1e150, -2.5])
+        vector = st.tuples(*[value] * dim)
+        # a small pool makes repeats, zero vectors and consecutive zero pairs common
+        pool = draw(st.lists(vector, min_size=1, max_size=4)) + [(0.0,) * dim]
+        detections = [
+            Detection(
+                ObjectClass.SPHERE,
+                draw(st.floats(0.0, 1.0)),
+                (10.0, 10.0, 4.0, 4.0),
+                draw(st.sampled_from(pool)),
+            )
+            for _ in range(draw(st.integers(1, 40)))
+        ]
+        params = TrackerParams()
+        track = Track(0, draw(st.integers(0, 3)), detections[0], params)
+        for det in detections[1:]:
+            for _ in range(draw(st.integers(0, 2))):
+                track.coast(track.filter.predict())
+            track.observe(det, track.filter.predict())
+        n = track.first_frame + len(track.detections) + draw(st.integers(0, 5))
+        impacts = draw(st.lists(st.floats(0.01, 5000.0), min_size=3, max_size=3))
+        profiles = {
+            cls: ClassProfile(cls, impact) for cls, impact in zip(SCOREABLE_CLASSES, impacts)
+        }
+        weights = WeightConfig(*draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
+        return track, n, profiles, weights, draw(st.sampled_from(["descriptor", "confidence"]))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        track, n, profiles, weights, sc_mode = case
+        expected = {
+            cls: _reference_scores(track, n, profile, weights, sc_mode)
+            for cls, profile in profiles.items()
+        }
+        assert hypothesis_scores(track, n, profiles, weights, sc_mode) == expected
+        for cls, profile in profiles.items():
+            assert score_track(track, n, profile, weights, sc_mode) == expected[cls]
+
+    check()

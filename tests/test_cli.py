@@ -118,6 +118,14 @@ def test_classify_corrupt_kb_fails_without_touching_it(tmp_path, capsys):
     assert not (tmp_path / "verdicts.jsonl").exists()
 
 
+def test_classify_rejects_a_null_event_id(tmp_path, capsys):
+    path = tmp_path / "null-id.jsonl"
+    path.write_text('{"event_id": null, "frame_count": 1}\n{"frame_index": 0}\n')
+    assert main(["--out", str(tmp_path), "classify", str(path)]) == 1
+    assert "line 1: event_id must be a string, got None" in capsys.readouterr().err
+    assert not (tmp_path / "verdicts.jsonl").exists()
+
+
 def test_classify_missing_trace_fails(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "classify", str(tmp_path / "nope.jsonl")]) == 1
     assert "nope.jsonl" in capsys.readouterr().err
@@ -191,6 +199,14 @@ def test_kb_show_requires_existing_file(tmp_path, capsys):
     assert "no knowledge base" in capsys.readouterr().err
 
 
+def test_kb_show_reports_a_section_that_is_not_an_array(tmp_path, capsys):
+    (tmp_path / "kb.json").write_text('{"version": 1, "class_stats": 5}')
+    assert main(["--out", str(tmp_path), "kb", "show"]) == 1
+    assert capsys.readouterr().err == (
+        "error: knowledge base unreadable: class_stats must be an array, got 5\n"
+    )
+
+
 def test_kb_reset_then_show(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "kb", "reset"]) == 0
     assert main(["--out", str(tmp_path), "kb", "show"]) == 0
@@ -256,3 +272,14 @@ def test_package_needs_only_the_standard_library():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+def test_cli_import_skips_the_xml_and_url_libraries():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl
+    src = os.path.dirname(os.path.dirname(curiophys.__file__))
+    code = "import curiophys.cli, sys; print(sorted({'xml.sax', 'urllib.request'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

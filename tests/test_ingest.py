@@ -193,6 +193,14 @@ def test_parse_rejects_malformed_lines():
         )
 
 
+@pytest.mark.parametrize("value", [None, 7, 1.5, True, {"a": 1}, ["e"]])
+def test_parse_rejects_a_non_string_event_id(value):
+    header = json.dumps({"event_id": value, "frame_count": 1})
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(header + '\n{"frame_index": 0}\n')
+    assert str(excinfo.value) == f"line 1: event_id must be a string, got {value!r}"
+
+
 def test_parse_rejects_inconsistent_header_count():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
     lines = encode_trace(trace).splitlines()

@@ -265,6 +265,18 @@ def test_load_rejects_mistyped_fields(section, field, value, message):
         load_kb(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize("section", ["class_stats", "exceptions"])
+@pytest.mark.parametrize("value", [5, "cube", {"class": "cube"}, None])
+def test_load_rejects_a_section_that_is_not_an_array(section, value):
+    doc = json.loads(save_kb(_populated_kb()))
+    doc[section] = value
+    with pytest.raises(KnowledgeLoadError) as excinfo:
+        load_kb(json.dumps(doc).encode())
+    assert str(excinfo.value) == (
+        f"knowledge base unreadable: {section} must be an array, got {value!r}"
+    )
+
+
 def test_kb_file_round_trip_and_atomicity(tmp_path):
     path = tmp_path / "kb.json"
     kb = _populated_kb()

@@ -43,9 +43,10 @@ def test_single_detection_renders_as_point():
 
 
 def test_event_id_is_escaped():
-    trace = build_trace("a<b&c", 5, [linear_script((50.0, 100.0), (3.0, 0.0), range(5))])
+    trace = build_trace('a<b&c>"d', 5, [linear_script((50.0, 100.0), (3.0, 0.0), range(5))])
     svg = _render(trace)
-    assert "a&lt;b&amp;c" in svg
+    # text content: &, < and > are escaped, a double quote is left as it is
+    assert 'a&lt;b&amp;c&gt;"d</text>' in svg
     assert "a<b&c" not in svg
 
 

@@ -137,6 +137,21 @@ def test_same_class_detection_wins_ties():
     assert original.detections[1].object_class is ObjectClass.SPHERE
 
 
+def test_equidistant_ties_go_to_the_smaller_content():
+    # one track, then two same-class detections 3 px either side of its
+    # prediction, listed in both orders: the detection that sorts first by
+    # content (bbox x) is matched, and the other starts a new track
+    left = _unit_box((97.0, 100.0))
+    right = _unit_box((103.0, 100.0))
+    for second in ((left, right), (right, left)):
+        trace = EventTrace(
+            "tie", (FrameRecord(0, (_unit_box((100.0, 100.0)),)), FrameRecord(1, second)), None
+        )
+        tracks = track_event(trace)
+        assert [t.detections[-1] for t in tracks] == [left, right]
+        assert [t.first_frame for t in tracks] == [0, 1]
+
+
 def test_discontinuities_for_generated_kinds():
     params = TrackerParams()
 
@@ -437,6 +452,10 @@ def _reference_resolved_class(track):
 
 
 def _track_summary(tracks):
+    for t in tracks:
+        # the O(1) aggregates against a walk over the frames
+        assert t.detected_frames == sum(1 for d in t.detections if d is not None)
+        assert t.resolved_class is _reference_resolved_class(t)
     return [
         (
             t.track_id,
@@ -448,6 +467,7 @@ def _track_summary(tracks):
             t.velocities,
             t.last_class,
             t.resolved_class,
+            t.detected_frames,
         )
         for t in tracks
     ]
