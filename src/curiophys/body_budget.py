@@ -114,7 +114,26 @@ def _normalized_distance(
     denom = norm_a + norm_b
     if denom == 0.0:
         return 0.0
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))) / denom
+    try:
+        squares = sum((x - y) ** 2 for x, y in zip(a, b))
+    except OverflowError:  # ** raises where * gives inf
+        squares = math.inf
+    if squares == math.inf or denom == math.inf:
+        return _scaled_distance(a, b)
+    return math.sqrt(squares) / denom
+
+
+def _scaled_distance(a: Sequence[float], b: Sequence[float]) -> float:
+    """The normalized distance of descriptors whose squares overflow.
+
+    math.dist and math.hypot scale internally; scaling every entry by the
+    same power of two first is exact and keeps even norms of entries near
+    the float limit finite.
+    """
+    scale = math.ldexp(1.0, -math.frexp(max(map(abs, (*a, *b))))[1])
+    a = [x * scale for x in a]
+    b = [y * scale for y in b]
+    return math.dist(a, b) / (math.hypot(*a) + math.hypot(*b))
 
 
 def normalized_euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:

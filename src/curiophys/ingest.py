@@ -342,6 +342,9 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
         )
     box = _numbers(bbox, line_no, "bbox")
     if descriptor is not None:
+        if not descriptor:
+            # zero-length descriptors would score a perfect shape constancy
+            raise TraceParseError(f"line {line_no}: shape_descriptor must not be empty")
         descriptor = _numbers(descriptor, line_no, "shape_descriptor")
     elif box[3] == 0:
         # the default descriptor divides by the height

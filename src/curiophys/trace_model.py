@@ -239,7 +239,9 @@ def validate_trace(trace: EventTrace) -> list[str]:
             for k, value in enumerate(det.shape_descriptor):
                 if not math.isfinite(value):
                     violations.append(f"{where}: shape_descriptor[{k}] {value} is not finite")
-            if descriptor_dim is None:
+            if not det.shape_descriptor:
+                violations.append(f"{where}: shape_descriptor must not be empty")
+            elif descriptor_dim is None:
                 descriptor_dim = len(det.shape_descriptor)
                 descriptor_origin = frame.frame_index
             elif len(det.shape_descriptor) != descriptor_dim:

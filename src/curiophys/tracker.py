@@ -15,17 +15,23 @@ are sorted globally by (distance, class mismatch, track id, detection rank)
 before assignment, and new tracks are born in rank order.  Ties between
 detections are thus broken by canonical rank, which orders exactly as
 their content does for the totally ordered (NaN-free) values the parser
-and validate_trace admit.  Every track is tested against every detection
-of its pool, so a frame costs time in tracks times detections; at twenty
-objects per frame that is faster than bucketing detections in a grid.
-A non-finite center or prediction has no candidates.
+and validate_trace admit.  Candidate pairs are found by sweep and prune
+(the broad phase of I-COLLIDE, Cohen et al. 1995): a pool's detections
+are sorted once by center x, and each track tests the exact distance gate
+only against the detections in an x window twice the gate wide on each
+side, found by bisection.  Sorting allocates nothing per cell, so unlike
+a grid it already pays at twenty objects per frame; a pool with a single
+detection skips the sort.  A non-finite center or prediction has no
+candidates.
 """
 from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import IO, Iterator, Optional, Sequence, Tuple
 
 from .trace_model import CLASS_ORDER, Detection, EventTrace, ObjectClass, class_order_index
@@ -230,22 +236,42 @@ def _step_pool(
     gate = params.assoc_gate
     if len(dets) == 1:
         canon = [0]
+        cx, cy = dets[0].center
+        candidates = [(cx, cy, dets[0].object_class, 0, 0)]
+        xs = None
     else:
         keys = [_det_key(d) for d in dets]
         canon = sorted(range(len(dets)), key=keys.__getitem__)
-    candidates = [
-        (*dets[dj].center, dets[dj].object_class, rank, dj) for rank, dj in enumerate(canon)
-    ]
+        candidates = []
+        for rank, dj in enumerate(canon):
+            cx, cy = dets[dj].center
+            if cx == cx:  # a NaN x passes no gate and does not sort
+                candidates.append((cx, cy, dets[dj].object_class, rank, dj))
+        candidates.sort(key=itemgetter(0))
+        xs = [c[0] for c in candidates]
+    # Sweep and prune: a track tests only the candidates whose x lies in
+    # [px - reach, px + reach].  A pair within the gate has
+    # |fl(px - cx)| <= hypot(...) <= gate, so the exact |px - cx| exceeds
+    # the gate by at most half an ulp, and px - 2 * gate lies almost a gate
+    # below cx (px + 2 * gate above it).  Rounding is monotone and cx is a
+    # float, so the rounded bounds still hold cx.  reach = gate is not
+    # enough: px 5.5, cx -27.8 and gate 33.3 pass the gate, yet
+    # 5.5 - 33.3 rounds to -27.799999999999997.
+    reach = 2.0 * gate
 
     # A detection's rank, its position in canon, stands in for its content
     # key: ranks order as the keys do, and equal keys are equal content.
-    # (track id, rank) is unique, so the sort never compares ti or dj.
+    # (track id, rank) is unique, so the sort never compares ti or dj, and
+    # the order in which pairs are found does not matter.
     pairs = []
     hypot = math.hypot
     for ti, track in enumerate(pool):
         px, py = predictions[ti]
         cls, tid = track.last_class, track.track_id
-        for cx, cy, det_cls, rank, dj in candidates:
+        window = candidates
+        if xs is not None:
+            window = candidates[bisect_left(xs, px - reach) : bisect_right(xs, px + reach)]
+        for cx, cy, det_cls, rank, dj in window:
             dist = hypot(px - cx, py - cy)
             if not dist <= gate:  # NaN is never a candidate
                 continue

@@ -88,6 +88,12 @@ def test_normalized_euclidean_distance():
     assert normalized_euclidean_distance((0.0, 0.0), (0.0, 0.0)) == 0.0
     with pytest.raises(ValueError, match="dimensions"):
         normalized_euclidean_distance((1.0,), (1.0, 2.0))
+    # finite entries whose squares overflow: scaled, not an OverflowError
+    assert normalized_euclidean_distance((1e200, 1.0), (-1e200, 1.0)) == 1.0
+    assert normalized_euclidean_distance((1e200, 1.0), (1e200, 1.0)) == 0.0
+    assert normalized_euclidean_distance((0.6e154, 0.6e154), (-0.6e154, -0.6e154)) == 1.0
+    assert normalized_euclidean_distance((1.5e308, 1.0), (-1.5e308, 1.0)) == 1.0
+    assert normalized_euclidean_distance((1.7e308,) * 4, (1.7e308,) * 3 + (-1.7e308,)) == 0.5
     rng = random.Random(5)
     for _ in range(200):
         a = tuple(rng.uniform(-10, 10) for _ in range(3))

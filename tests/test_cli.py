@@ -166,6 +166,34 @@ def test_classify_rejects_a_number_too_large_for_a_float(tmp_path, capsys):
     assert "line 2: bbox[0] must be a finite number, got 1000" in capsys.readouterr().err
 
 
+def test_classify_rejects_an_empty_shape_descriptor(tmp_path, capsys):
+    det = Detection(ObjectClass.CUBE, 0.6, (100.0, 100.0, 20.0, 20.0), ())
+    trace = EventTrace("empty-descriptor", tuple(FrameRecord(t, (det,)) for t in range(3)), None)
+    path = tmp_path / "empty-descriptor.jsonl"
+    write_trace_file(trace, path)
+    assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "line 2: shape_descriptor must not be empty" in err
+    assert not (tmp_path / "results" / "verdicts.jsonl").exists()
+
+
+def test_classify_scores_descriptors_whose_squares_overflow(tmp_path, capsys):
+    # finite entries whose difference squared exceeds the float range
+    frames = tuple(
+        FrameRecord(t, (Detection(ObjectClass.CUBE, 0.6, (100.0 + 3 * t, 100.0, 20.0, 20.0), d),))
+        for t, d in enumerate([(1e200, 1.0), (-1e200, 1.0)])
+    )
+    path = tmp_path / "huge-descriptor.jsonl"
+    write_trace_file(EventTrace("huge-descriptor", frames, None), path)
+    assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    verdict = json.loads((tmp_path / "results" / "verdicts.jsonl").read_text())
+    assert verdict["flag"] in ("possible", "impossible")
+    # distance 1.0 between the two descriptors: shape constancy 0
+    assert [t["s_sc"] for t in verdict["track_scores"]] == [0.0]
+
+
 def test_plot_writes_svg_and_csv(tmp_path, capsys):
     trace = str(_generate(tmp_path))
     out_dir = tmp_path / "plots"

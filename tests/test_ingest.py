@@ -280,6 +280,14 @@ def test_parse_rejects_zero_height_without_descriptor():
         parse_trace(_doctor_frame_5(edit))
 
 
+def test_parse_rejects_an_empty_shape_descriptor():
+    def edit(det):
+        det["shape_descriptor"] = []
+
+    with pytest.raises(TraceParseError, match=r"^line 7: shape_descriptor must not be empty$"):
+        parse_trace(_doctor_frame_5(edit))
+
+
 def test_parse_rejects_an_overflowing_bbox_center():
     # every entry is finite, but x + width/2 is not
     def edit(det):

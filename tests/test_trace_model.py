@@ -142,6 +142,17 @@ def test_validate_trace_flags_descriptor_dimension_drift():
     assert any("dimension" in v and "frame 0" in v for v in violations)
 
 
+def test_validate_trace_flags_an_empty_descriptor():
+    # an empty descriptor neither sets nor breaks the descriptor dimension
+    d2 = Detection(ObjectClass.SPHERE, 0.5, (0, 0, 10, 10), (1.0, 0.1))
+    empty = Detection(ObjectClass.SPHERE, 0.5, (3, 0, 10, 10), ())
+    frames = (FrameRecord(0, (empty,)), FrameRecord(1, (d2,)), FrameRecord(2, (empty,)))
+    assert validate_trace(EventTrace("empty-descriptor", frames, None)) == [
+        "frame 0, detection 0: shape_descriptor must not be empty",
+        "frame 2, detection 0: shape_descriptor must not be empty",
+    ]
+
+
 def test_validate_trace_flags_empty_and_bad_ground_truth():
     trace = EventTrace("empty", (), None)
     assert any("frame" in v for v in validate_trace(trace))

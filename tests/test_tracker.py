@@ -529,6 +529,97 @@ def test_nan_prediction_coasts():
     assert math.isnan(track.centers_predicted[1][0])
 
 
+def test_sweep_window_reaches_past_the_gate():
+    # 5.5 and -27.8 are 33.3 apart, within gate 33.3, but 5.5 - 33.3 rounds
+    # to -27.799999999999997: a window of one gate would drop the pair
+    params = TrackerParams(assoc_gate=33.3)
+    near, far = _unit_box((-27.8, 20.0)), _unit_box((400.0, 20.0))
+    assert math.hypot(5.5 - near.center[0], 0.0) <= params.assoc_gate
+    assert 5.5 - params.assoc_gate > near.center[0]
+    trace = EventTrace(
+        "window", (FrameRecord(0, (_unit_box((5.5, 20.0)),)), FrameRecord(1, (far, near))), None
+    )
+    tracks = track_event(trace, params)
+    start = trace.frames[0].detections[0]
+    assert [(t.first_frame, t.detections) for t in tracks] == [(0, [start, near]), (1, [far])]
+    assert _track_summary(tracks) == _track_summary(_reference_track_event(trace, params))
+
+
+def test_non_finite_x_leaves_the_finite_association_alone():
+    # trace built in code: NaN-x and +-inf-x boxes beside moving finite ones
+    nan_x = Detection.build(ObjectClass.SPHERE, 0.6, (math.nan, 40.0, 1.0, 1.0), (1.0, 0.1))
+    pos_inf = Detection.build(ObjectClass.CUBE, 0.6, (math.inf, 40.0, 1.0, 1.0), (1.0, 0.1))
+    neg_inf = Detection.build(ObjectClass.CONE, 0.6, (-math.inf, 40.0, 1.0, 1.0), (1.0, 0.1))
+    # listed out of x order: an unsortable NaN among them would leave the
+    # x order broken and the 400 px object out of its own window
+    finite_frames = [
+        tuple(_unit_box((x + 3.0 * t, 40.0 + 0.5 * t)) for x in (400.0, 10.0, 55.0, 100.0))
+        for t in range(5)
+    ]
+    clean = EventTrace(
+        "finite", tuple(FrameRecord(t, dets) for t, dets in enumerate(finite_frames)), None
+    )
+    mixed = EventTrace(
+        "mixed",
+        tuple(
+            FrameRecord(t, (dets[0], nan_x, *dets[1:3], pos_inf, neg_inf, dets[3]))
+            for t, dets in enumerate(finite_frames)
+        ),
+        None,
+    )
+
+    def finite_tracks(tracks):
+        # NaN keys are not ordered, so birth order (track ids) may differ
+        return sorted(
+            (
+                (t.first_frame, t.detections[0].bbox),
+                t.detections,
+                t.centers_predicted,
+                t.residuals,
+                t.velocities,
+            )
+            for t in tracks
+            if math.isfinite(t.detections[0].center[0])
+        )
+
+    tracks = track_event(mixed)
+    assert finite_tracks(tracks) == finite_tracks(track_event(clean))
+    finite = [t for t in tracks if math.isfinite(t.detections[0].center[0])]
+    assert [t.detected_frames for t in finite] == [5, 5, 5, 5]
+    # every non-finite detection matches nothing and starts a track of its own
+    others = [t for t in tracks if t not in finite]
+    assert all(t.detected_frames == 1 for t in others)
+    assert sorted((t.first_frame, id(t.detections[0])) for t in others) == sorted(
+        (f, id(d)) for f in range(5) for d in (nan_x, pos_inf, neg_inf)
+    )
+
+
+def test_sweep_prunes_the_distance_tests(monkeypatch):
+    # a 5 x 4 grid laid out like the crowded benchmark scene: objects 128 x 90
+    # px apart, moving in step; a window of twice the 50 px gate holds one
+    # column, so a track makes 4 gate tests and one filter update per frame
+    # where all pairs would make 20 tests
+    frames = tuple(
+        FrameRecord(
+            t,
+            tuple(
+                _unit_box((64.0 + 128.0 * c + 1.5 * t, 45.0 + 90.0 * r + 0.3 * t))
+                for r in range(4)
+                for c in range(5)
+            ),
+        )
+        for t in range(6)
+    )
+    calls = []
+    hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", lambda *xy: calls.append(xy) or hypot(*xy))
+    tracks = track_event(EventTrace("grid", frames, None))
+    monkeypatch.undo()
+    assert [t.detected_frames for t in tracks] == [6] * 20
+    track_frames = 20 * (len(frames) - 1)
+    assert len(calls) <= 5 * track_frames
+
+
 def test_association_matches_the_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -552,6 +643,7 @@ def test_association_matches_the_reference():
             st.integers(-12, 12).map(lambda k: k * gate),  # multiples of the gate
             st.integers(0, 60).map(lambda m: 2.0 ** m * gate),  # coarse rounding far out
             st.floats(-2000.0, 3000.0),  # in and far off the 640x360 scene
+            st.integers(-600, 600).map(lambda k: k / 10),  # one decimal, as detectors report
             st.sampled_from([1e308, -1e308, 1.5e308, 2.0 ** 1000]),  # near the float limit
         )
         anchors = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5))
