@@ -69,11 +69,9 @@ from .knowledge import (
     save_kb_file,
     z_number,
 )
-from .plot import plot_event, render_event_svg
 from .trace_model import (
     CLASS_ORDER,
     SCOREABLE_CLASSES,
-    ClassProfile,
     Detection,
     EventTrace,
     FrameRecord,

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .trace_model import SCOREABLE_CLASSES, ClassProfile, ObjectClass, default_profiles
+from .trace_model import SCOREABLE_CLASSES, ObjectClass
 from .tracker import Track
 
 # Fixed divisor anchoring the per-class score bands (impact 10 / 100 / 1000);
@@ -28,6 +28,7 @@ from .tracker import Track
 IMPACT_SCALE = 1000.0
 
 SC_MODES = ("descriptor", "confidence")
+DEFAULT_SC_MODE = SC_MODES[0]
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,18 @@ def _confidence_total(track: Track) -> float:
     return sum(det.confidence for det in track.detections if det is not None)
 
 
-def _object_permanence(total: float, profile: ClassProfile) -> float:
-    return total * profile.impact_value / IMPACT_SCALE
+def _object_permanence(total: float, impact: float) -> float:
+    return total * impact / IMPACT_SCALE
 
 
-def score_object_permanence(track: Track, profile: ClassProfile) -> float:
+def score_object_permanence(track: Track, impact: float) -> float:
     """Sum of (confidence x impact value) over detected frames, / 1000.
 
-    The profile decides the impact value, so the same track can be scored
-    under different class hypotheses.
+    The impact value is the class hypothesis's, so the same track can be
+    scored under different class hypotheses.
     """
     _reject_occluder(track)
-    return _object_permanence(_confidence_total(track), profile)
+    return _object_permanence(_confidence_total(track), impact)
 
 
 def score_spatial_temporal(track: Track, n: int) -> float:
@@ -144,7 +145,7 @@ def normalized_euclidean_distance(a: Sequence[float], b: Sequence[float]) -> flo
     return _normalized_distance(a, b, _norm(a), _norm(b))
 
 
-def score_shape_constancy(track: Track, mode: str = "descriptor") -> float:
+def score_shape_constancy(track: Track, mode: str = DEFAULT_SC_MODE) -> float:
     """How constant the object's shape stayed, in [0, 1].
 
     descriptor mode: 1 minus the mean normalized Euclidean distance between
@@ -185,13 +186,13 @@ def _bundle(s_op: float, s_sc: float, s_stc: float, weights: WeightConfig) -> Bo
 def score_track(
     track: Track,
     n: int,
-    profile: ClassProfile,
+    impact: float,
     weights: WeightConfig = WeightConfig(),
-    sc_mode: str = "descriptor",
+    sc_mode: str = DEFAULT_SC_MODE,
 ) -> BodyBudgetScores:
-    """All body-budget scores of one track under one class profile."""
+    """All body-budget scores of one track under one class's impact value."""
     return _bundle(
-        score_object_permanence(track, profile),
+        score_object_permanence(track, impact),
         score_shape_constancy(track, sc_mode),
         score_spatial_temporal(track, n),
         weights,
@@ -201,26 +202,24 @@ def score_track(
 def hypothesis_scores(
     track: Track,
     n: int,
-    profiles: Optional[Mapping[ObjectClass, ClassProfile]] = None,
+    impact_values: Mapping[ObjectClass, float],
     weights: WeightConfig = WeightConfig(),
-    sc_mode: str = "descriptor",
+    sc_mode: str = DEFAULT_SC_MODE,
 ) -> dict[ObjectClass, BodyBudgetScores]:
     """Score one track under every class hypothesis.
 
     Only the object-permanence term depends on the hypothesis (through the
     impact value); shape constancy and spatial-temporal continuity are
     intrinsic to the track.  This is how an unknown object gets a composite
-    score per candidate class for Z-number inference.
+    score per candidate class for Z-number inference.  impact_values holds
+    one value per scoreable class, as CuriosityParams checks.
     """
-    if profiles is None:
-        profiles = default_profiles()
     s_sc = score_shape_constancy(track, sc_mode)
     s_stc = score_spatial_temporal(track, n)
     total = _confidence_total(track)
     return {
-        cls: _bundle(_object_permanence(total, profiles[cls]), s_sc, s_stc, weights)
+        cls: _bundle(_object_permanence(total, impact_values[cls]), s_sc, s_stc, weights)
         for cls in SCOREABLE_CLASSES
-        if cls in profiles
     }
 
 

@@ -35,7 +35,6 @@ from .knowledge import (
     load_kb_file,
     save_kb_file,
 )
-from .plot import plot_event
 from .trace_model import ObjectClass
 
 EXIT_OK = 0
@@ -194,6 +193,8 @@ def cmd_plot(args: argparse.Namespace, config: RunConfig) -> int:
                 "(reports carry no per-frame positions)"
             ) from None
         raise CliError(f"{args.trace}: {exc}") from None
+    from .plot import plot_event  # only this command needs the SVG renderer
+
     os.makedirs(config.out_dir, exist_ok=True)
     for path in plot_event(trace, config.out_dir, config.tracker_params()):
         print(path)

@@ -14,11 +14,8 @@ from typing import Mapping, Optional
 from .body_budget import WeightConfig
 from .curiosity import CuriosityParams
 from .trace_model import (
-    DEFAULT_IMPACT_VALUES,
     DEFAULT_SCENE,
-    ClassProfile,
     ObjectClass,
-    SCOREABLE_CLASSES,
     SceneBounds,
     is_finite_number,
     is_integer,
@@ -41,8 +38,9 @@ class RunConfig:
     """Every knob of the pipeline in one place.
 
     q, r and p0 are the filter's process noise, measurement noise and
-    initial state variance.  promotion_threshold None means: keep the
-    loaded KB's stored threshold (or 3 for a fresh KB).
+    initial state variance.  impact_values names each class as the config
+    file spells it; CuriosityParams checks the values.  promotion_threshold
+    None means: keep the loaded KB's stored threshold (or 3 for a fresh KB).
     """
 
     alpha: float = _WEIGHTS.alpha
@@ -56,7 +54,7 @@ class RunConfig:
     occlusion_coverage_min: float = _CURIOSITY.occlusion_coverage_min
     promotion_threshold: Optional[int] = None
     impact_values: Mapping[str, float] = field(
-        default_factory=lambda: {cls.value: v for cls, v in DEFAULT_IMPACT_VALUES.items()}
+        default_factory=lambda: {cls.value: v for cls, v in _CURIOSITY.impact_values.items()}
     )
     sc_mode: str = _CURIOSITY.sc_mode
     scene_width: float = DEFAULT_SCENE.width
@@ -73,11 +71,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
+        if self.kb_path is not None and not isinstance(self.kb_path, str):
+            raise ConfigError(f"kb_path must be a string or null, got {self.kb_path!r}")
         if not isinstance(self.impact_values, Mapping):
             raise ConfigError(f"impact_values must be an object, got {self.impact_values!r}")
-        for name, impact in self.impact_values.items():
-            if not is_finite_number(impact):
-                raise ConfigError(f"impact_values.{name} must be a finite number, got {impact!r}")
         try:
             self.curiosity_params()
         except ValueError as exc:
@@ -101,28 +100,19 @@ class RunConfig:
             initial_variance=self.p0,
         )
 
-    def profiles(self) -> dict[ObjectClass, ClassProfile]:
-        profiles = {}
-        for name, impact in self.impact_values.items():
-            cls = ObjectClass.from_name(name)
-            if cls not in SCOREABLE_CLASSES:
-                raise ConfigError(f"impact_values: class {name!r} cannot carry an impact value")
-            profiles[cls] = ClassProfile(cls, float(impact))
-        missing = [cls.value for cls in SCOREABLE_CLASSES if cls not in profiles]
-        if missing:
-            raise ConfigError(f"impact_values: missing a value for {', '.join(missing)}")
-        return profiles
-
     def scene(self) -> SceneBounds:
         return SceneBounds(self.scene_width, self.scene_height)
 
     def curiosity_params(self) -> CuriosityParams:
+        impact_values = {ObjectClass.from_name(n): v for n, v in self.impact_values.items()}
+        if len(impact_values) != len(self.impact_values):  # class names ignore case
+            raise ConfigError(f"impact_values names a class twice: {sorted(self.impact_values)}")
         return CuriosityParams(
             weights=self.weights(),
             tracker=self.tracker_params(),
             occlusion_coverage_min=self.occlusion_coverage_min,
             sc_mode=self.sc_mode,
-            profiles=self.profiles(),
+            impact_values=impact_values,
             scene=self.scene(),
         )
 

@@ -11,6 +11,10 @@ the knowledge base.
 
 Jump and shape-switch breaks are never explainable: no external factor
 makes teleportation or shape shifting acceptable.
+
+A wall hides a gap frame when its bbox, grown by OCCLUDER_INFLATION pixels
+on every side, contains the object's predicted center: the coasted center
+is an estimate, not an observation.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .body_budget import (
+    DEFAULT_SC_MODE,
     SC_MODES,
     BodyBudgetScores,
     WeightConfig,
@@ -38,11 +43,12 @@ from .knowledge import (
 )
 from .trace_model import (
     DEFAULT_SCENE,
-    ClassProfile,
+    SCOREABLE_CLASSES,
     EventTrace,
     ObjectClass,
     SceneBounds,
     default_profiles,
+    is_finite_number,
 )
 from .tracker import (
     Discontinuity,
@@ -70,16 +76,24 @@ class EventError(Exception):
         self.message = message
 
 
+# Pixels added to every side of a wall's bbox when testing a coasted center.
+OCCLUDER_INFLATION = 5.0
+
+
 @dataclass(frozen=True)
 class CuriosityParams:
-    """Everything classify_event needs besides the trace and the KB."""
+    """Everything classify_event needs besides the trace and the KB.
+
+    impact_values holds the impact value of exactly the scoreable classes
+    (sphere, cone, cube), each a finite number > 0.  It is checked and
+    copied here, once, so scoring can index it by any scoreable class.
+    """
 
     weights: WeightConfig = WeightConfig()
     tracker: TrackerParams = TrackerParams()
     occlusion_coverage_min: float = 0.7
-    occluder_inflation: float = 5.0
-    sc_mode: str = "descriptor"
-    profiles: Mapping[ObjectClass, ClassProfile] = field(default_factory=default_profiles)
+    sc_mode: str = DEFAULT_SC_MODE
+    impact_values: Mapping[ObjectClass, float] = field(default_factory=default_profiles)
     scene: SceneBounds = DEFAULT_SCENE
 
     def __post_init__(self):
@@ -87,10 +101,25 @@ class CuriosityParams:
             raise ValueError(
                 f"occlusion_coverage_min must be in (0, 1], got {self.occlusion_coverage_min}"
             )
-        if self.occluder_inflation < 0:
-            raise ValueError(f"occluder_inflation must be >= 0, got {self.occluder_inflation}")
         if self.sc_mode not in SC_MODES:
             raise ValueError(f"sc_mode must be one of {SC_MODES}, got {self.sc_mode!r}")
+        object.__setattr__(self, "impact_values", _checked_impact_values(self.impact_values))
+
+
+def _checked_impact_values(values: Mapping[ObjectClass, float]) -> dict[ObjectClass, float]:
+    for cls in values:
+        if not isinstance(cls, ObjectClass):
+            raise ValueError(f"impact_values: key {cls!r} is not an ObjectClass")
+        if cls not in SCOREABLE_CLASSES:
+            raise ValueError(f"impact_values: class {cls.value!r} cannot carry an impact value")
+    missing = [cls.value for cls in SCOREABLE_CLASSES if cls not in values]
+    if missing:
+        raise ValueError(f"impact_values: missing a value for {', '.join(missing)}")
+    for cls in SCOREABLE_CLASSES:
+        impact = values[cls]
+        if not (is_finite_number(impact) and impact > 0):
+            raise ValueError(f"impact_values.{cls.value} must be a finite number > 0, got {impact!r}")
+    return {cls: float(values[cls]) for cls in SCOREABLE_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -177,9 +206,8 @@ def _gap_centers(track: Track, start: int, end: int) -> list[Tuple[float, float]
     return [(c0[0] - vx * (t0 - f), c0[1] - vy * (t0 - f)) for f in range(start, end + 1)]
 
 
-def _wall_contains(
-    walls: Sequence[Track], frame: int, center: Tuple[float, float], inflation: float
-) -> bool:
+def _wall_contains(walls: Sequence[Track], frame: int, center: Tuple[float, float]) -> bool:
+    inflation = OCCLUDER_INFLATION
     for wall in walls:
         det = wall.detection_at(frame) if wall.covers(frame) else None
         if det is None:
@@ -225,7 +253,7 @@ def explain_discontinuities(
         countwall = sum(
             1
             for frame, center in zip(range(disc.start_frame, disc.end_frame + 1), centers)
-            if _wall_contains(walls, frame, center, params.occluder_inflation)
+            if _wall_contains(walls, frame, center)
         )
         coverage = countwall / gap_frames
         context = CuriosityContext(countwall, gap_frames, coverage)
@@ -305,7 +333,7 @@ def classify_event(
     focus = focus_track(tracks)
     assert focus is not None
     scores_by_class = hypothesis_scores(
-        focus, trace.frame_count, params.profiles, params.weights, params.sc_mode
+        focus, trace.frame_count, params.impact_values, params.weights, params.sc_mode
     )
     focus_scores = scores_by_class[focus.resolved_class]
     track_scores = tuple(
@@ -313,7 +341,7 @@ def classify_event(
             t.track_id,
             t.resolved_class,
             focus_scores if t is focus else score_track(
-                t, trace.frame_count, params.profiles[t.resolved_class],
+                t, trace.frame_count, params.impact_values[t.resolved_class],
                 params.weights, params.sc_mode,
             ),
         )
@@ -348,9 +376,8 @@ def classify_event(
                 _flag_word(agent_possible),
                 _flag_word(gt.possible),
             )
-            if kb.is_promoted(signature):
-                record = kb.exception_for(signature)
-                assert record is not None
+            record = kb.exception_for(signature)
+            if record is not None and record.promoted:
                 flag = Flag.POSSIBLE if gt.possible else Flag.IMPOSSIBLE
                 reason = (
                     f"verdict {_flag_word(agent_possible)} contradicts ground truth; "
@@ -358,9 +385,6 @@ def classify_event(
                     f"(seen {record.occurrences} times)"
                 )
                 ground_truth_match = True
-                exception_signature = signature
-                exception_occurrences = record.occurrences
-                exception_promoted = True
             else:
                 record = kb.record_exception(signature)
                 flag = Flag.EXCEPTION
@@ -369,9 +393,9 @@ def classify_event(
                     f"{_flag_word(gt.possible)}; exception recorded "
                     f"(occurrence {record.occurrences} of {kb.promotion_threshold} for promotion)"
                 )
-                exception_signature = signature
-                exception_occurrences = record.occurrences
-                exception_promoted = record.promoted
+            exception_signature = signature
+            exception_occurrences = record.occurrences
+            exception_promoted = record.promoted
         if ground_truth_match and focus.resolved_class in gt.object_classes:
             kb.update_stats(focus.resolved_class, focus_scores.a)
 

@@ -105,7 +105,6 @@ class ScenarioSpec:
     seed: int = 0
     noise_sigma: float = 0.0
     confidence: float = 0.6
-    start: Optional[Tuple[float, float]] = None
     scene: SceneBounds = DEFAULT_SCENE
 
     def event_id(self) -> str:
@@ -115,8 +114,8 @@ class ScenarioSpec:
 def _check_spec(spec: ScenarioSpec) -> None:
     if spec.frame_count < 10:
         raise ScenarioError(f"frame_count must be >= 10, got {spec.frame_count}")
-    if spec.noise_sigma < 0:
-        raise ScenarioError(f"noise_sigma must be >= 0, got {spec.noise_sigma}")
+    if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
+        raise ScenarioError(f"noise_sigma must be a finite number >= 0, got {spec.noise_sigma}")
     if not (0.0 <= spec.confidence <= 1.0):
         raise ScenarioError(f"confidence must be in [0, 1], got {spec.confidence}")
     if spec.object_class not in OBJECT_SIZES:
@@ -134,7 +133,7 @@ def scripted_violation_frame(spec: ScenarioSpec) -> int:
     return spec.frame_count // 2
 
 
-def _default_start(spec: ScenarioSpec) -> Tuple[float, float]:
+def _start(spec: ScenarioSpec) -> Tuple[float, float]:
     def axis_start(v: float, extent: float) -> float:
         if v > 0:
             return EDGE_MARGIN
@@ -162,7 +161,7 @@ def _teleport_offset(spec: ScenarioSpec) -> Tuple[float, float]:
 
 def _scripted_centers(spec: ScenarioSpec) -> list[Tuple[float, float]]:
     """Noise-free center positions for every frame, violations included."""
-    start = spec.start if spec.start is not None else _default_start(spec)
+    start = _start(spec)
     vx, vy = spec.velocity
     jump = scripted_violation_frame(spec)
     offset = _teleport_offset(spec) if spec.kind is ScenarioKind.IMPOSSIBLE_TELEPORT else (0.0, 0.0)
@@ -179,7 +178,7 @@ def _check_path_in_bounds(spec: ScenarioSpec, centers: list[Tuple[float, float]]
         if not (PATH_CLEARANCE <= cx <= w - PATH_CLEARANCE and PATH_CLEARANCE <= cy <= h - PATH_CLEARANCE):
             raise ScenarioError(
                 f"scripted path leaves the scene at frame {t} ({cx:.1f}, {cy:.1f}); "
-                "reduce velocity or frame_count, or set an explicit start"
+                "reduce velocity or frame_count"
             )
 
 
@@ -362,6 +361,16 @@ def _numbers(values: list, line_no: int, field: str) -> tuple:
     return tuple(map(float, values))
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(
+            f"line {line_no}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def parse_trace(
     source: Union[str, bytes, IO[bytes], IO[str]], scene: SceneBounds = DEFAULT_SCENE
 ) -> EventTrace:
@@ -370,13 +379,8 @@ def parse_trace(
     Raises TraceParseError for malformed records (message names the line)
     and TraceValidationError when the parsed trace violates invariants.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    text = _decode(data) if isinstance(data, bytes) else data
 
     lines = [line for line in text.splitlines()]
     while lines and not lines[-1].strip():

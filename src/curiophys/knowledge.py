@@ -138,9 +138,6 @@ class KnowledgeBase:
     def stats(self) -> list[ClassStats]:
         return sorted(self._stats.values(), key=lambda s: class_order_index(s.object_class))
 
-    def stats_for(self, cls: ObjectClass) -> Optional[ClassStats]:
-        return self._stats.get(cls)
-
     def update_stats(self, cls: ObjectClass, a: float) -> ClassStats:
         if cls not in SCOREABLE_CLASSES:
             raise ValueError(f"cannot record scores for class {cls.value}")
@@ -167,10 +164,6 @@ class KnowledgeBase:
         if record.occurrences >= self.promotion_threshold:
             record.promoted = True
         return record
-
-    def is_promoted(self, signature: ExceptionSignature) -> bool:
-        record = self._exceptions.get(signature)
-        return record is not None and record.promoted
 
     def exception_for(self, signature: ExceptionSignature) -> Optional[ExceptionRecord]:
         return self._exceptions.get(signature)
@@ -313,6 +306,10 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool)
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 def _section(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -333,7 +330,7 @@ def kb_from_document(doc) -> KnowledgeBase:
 
     for i, entry in enumerate(_section(doc, "class_stats")):
         try:
-            cls = ObjectClass.from_name(entry["class"])
+            cls = ObjectClass.from_name(_field(entry, "class", _is_str, "a string"))
             mean = float(_field(entry, "mean", is_finite_number, "a finite number"))
             count = _field(entry, "count", is_integer, "an integer")
         except (KeyError, TypeError, ValueError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .trace_model import EventTrace
 from .tracker import (
@@ -227,22 +227,20 @@ def plot_event(
     trace: EventTrace,
     out_dir,
     params: TrackerParams = TrackerParams(),
-    stem: Optional[str] = None,
 ) -> list[str]:
-    """Track the event and write its SVG plot plus one CSV per track;
-    returns the written paths."""
+    """Track the event and write its SVG plot plus one CSV per track, each
+    named after the event id; returns the written paths."""
     tracks = track_event(trace, params)
     discontinuities = trace_discontinuities(tracks, trace.frame_count, params)
-    stem = stem if stem is not None else trace.event_id
     written = []
 
-    svg_path = os.path.join(out_dir, f"{stem}.svg")
+    svg_path = os.path.join(out_dir, f"{trace.event_id}.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(render_event_svg(trace, tracks, discontinuities))
     written.append(svg_path)
 
     for track in tracks:
-        csv_path = os.path.join(out_dir, f"{stem}-track{track.track_id}.csv")
+        csv_path = os.path.join(out_dir, f"{trace.event_id}-track{track.track_id}.csv")
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             write_track_csv(track, fh)
         written.append(csv_path)

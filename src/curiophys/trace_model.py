@@ -1,8 +1,8 @@
 """Shared domain vocabulary for detection-trace event reasoning.
 
 Defines the value types every other module consumes: object classes and
-their impact profiles, per-frame detections, frame records, whole event
-traces, and ground-truth labels.  All types are immutable after
+their default impact values, per-frame detections, frame records, whole
+event traces, and ground-truth labels.  All types are immutable after
 construction and safe to share between concurrent workers.
 
 Coordinate convention: bounding boxes are (x, y, w, h) in pixels with a
@@ -52,6 +52,8 @@ CLASS_ORDER = (
 # Classes an event can be "about" (everything except the occluder/unknown).
 SCOREABLE_CLASSES = (ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE)
 
+# Impact value of each scoreable class, the weight of its detections in the
+# object-permanence score.  Walls are occluders and carry none.
 DEFAULT_IMPACT_VALUES = {
     ObjectClass.SPHERE: 10.0,
     ObjectClass.CONE: 100.0,
@@ -96,29 +98,9 @@ class SceneBounds:
 DEFAULT_SCENE = SceneBounds()
 
 
-@dataclass(frozen=True)
-class ClassProfile:
-    """Scoring profile of a class: its dimensionless impact value.
-
-    Default impact values: sphere 10, cone 100, cube 1000.  Walls have no
-    profile because occluders are never scored.
-    """
-
-    object_class: ObjectClass
-    impact_value: float
-
-    def __post_init__(self):
-        if self.object_class is ObjectClass.WALL:
-            raise ValueError("walls are occluders and carry no impact value")
-        if self.impact_value <= 0:
-            raise ValueError(f"impact_value must be > 0, got {self.impact_value}")
-
-
-def default_profiles() -> dict[ObjectClass, ClassProfile]:
-    return {
-        cls: ClassProfile(cls, impact)
-        for cls, impact in DEFAULT_IMPACT_VALUES.items()
-    }
+def default_profiles() -> dict[ObjectClass, float]:
+    """A fresh copy of the default impact value of each scoreable class."""
+    return dict(DEFAULT_IMPACT_VALUES)
 
 
 def default_shape_descriptor(

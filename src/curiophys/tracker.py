@@ -23,6 +23,9 @@ side, found by bisection.  Sorting allocates nothing per cell, so unlike
 a grid it already pays at twenty objects per frame; a pool with a single
 detection skips the sort.  A non-finite center or prediction has no
 candidates.
+
+A shape switch needs SHAPE_SWITCH_MIN_RUN consecutive observations of a
+new class, so a single misclassified frame is not a break.
 """
 from __future__ import annotations
 
@@ -38,6 +41,9 @@ from .trace_model import CLASS_ORDER, Detection, EventTrace, ObjectClass, class_
 
 # Tolerance for the covariance positive semi-definiteness contract.
 COVARIANCE_TOL = 1e-9
+
+# Consecutive observations of a new class that make a shape switch.
+SHAPE_SWITCH_MIN_RUN = 3
 
 
 class CovarianceError(RuntimeError):
@@ -58,14 +64,11 @@ class TrackerParams:
     process_noise: float = 1.0
     measurement_noise: float = 2.0
     initial_variance: float = 100.0
-    shape_switch_min_run: int = 3
 
     def __post_init__(self):
         for name in ("assoc_gate", "jump_gate", "process_noise", "measurement_noise", "initial_variance"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.shape_switch_min_run < 1:
-            raise ValueError(f"shape_switch_min_run must be >= 1, got {self.shape_switch_min_run}")
 
 
 def _check_covariance(a: float, b: float, d: float) -> None:
@@ -414,7 +417,7 @@ def track_discontinuities(
     if runs:
         established = runs[0][0]
         for cls, start, count in runs[1:]:
-            if cls is not established and count >= params.shape_switch_min_run:
+            if cls is not established and count >= SHAPE_SWITCH_MIN_RUN:
                 out.append(
                     Discontinuity(
                         DiscontinuityKind.SHAPE_SWITCH,

@@ -5,7 +5,6 @@ import pytest
 
 from curiophys import (
     BodyBudgetScores,
-    ClassProfile,
     ObjectClass,
     ScenarioKind,
     WeightConfig,
@@ -22,12 +21,12 @@ from curiophys import (
     track_event,
 )
 from curiophys.body_budget import IMPACT_SCALE
-from curiophys.trace_model import SCOREABLE_CLASSES, Detection
+from curiophys.trace_model import DEFAULT_IMPACT_VALUES, SCOREABLE_CLASSES, Detection
 from curiophys.tracker import Track, TrackerParams
 
 from trace_builders import ObjectScript, build_trace, linear_script
 
-SPHERE10 = ClassProfile(ObjectClass.SPHERE, 10.0)
+SPHERE10 = 10.0
 
 
 def _track_of(trace):
@@ -55,7 +54,7 @@ def test_object_permanence_full_presence_unit_confidence():
 def test_object_permanence_scales_with_impact():
     track = _gap_track(48, 90)
     s10 = score_object_permanence(track, SPHERE10)
-    s1000 = score_object_permanence(track, ClassProfile(ObjectClass.CUBE, 1000.0))
+    s1000 = score_object_permanence(track, 1000.0)
     assert s1000 == pytest.approx(100.0 * s10)
 
 
@@ -194,7 +193,7 @@ def test_op_band_membership_on_generated_events():
     for cls, impact in ((ObjectClass.SPHERE, 10.0), (ObjectClass.CONE, 100.0), (ObjectClass.CUBE, 1000.0)):
         trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, object_class=cls))
         track = _track_of(trace)
-        s = score_object_permanence(track, ClassProfile(cls, impact))
+        s = score_object_permanence(track, impact)
         assert 0.0 <= s <= 90 * 0.6 * impact / 1000.0 + 1e-12
 
 
@@ -210,7 +209,7 @@ def test_score_track_bundles_consistently():
 
 def test_hypothesis_scores_vary_only_in_op_term():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, object_class=ObjectClass.CONE))
-    by_class = hypothesis_scores(_track_of(trace), 90)
+    by_class = hypothesis_scores(_track_of(trace), 90, DEFAULT_IMPACT_VALUES)
     assert set(by_class) == {ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE}
     s_sc = {s.s_sc for s in by_class.values()}
     s_stc = {s.s_stc for s in by_class.values()}
@@ -244,10 +243,10 @@ def _reference_distance(a, b):
     return diff / denom
 
 
-def _reference_scores(track, n, profile, weights, sc_mode):
+def _reference_scores(track, n, impact, weights, sc_mode):
     """One class hypothesis scored from a walk over the track's frames."""
     dets = [det for det in track.detections if det is not None]
-    s_op = sum(d.confidence for d in dets) * profile.impact_value / IMPACT_SCALE
+    s_op = sum(d.confidence for d in dets) * impact / IMPACT_SCALE
     if sc_mode == "confidence":
         s_sc = min(1.0, max(0.0, sum(d.confidence for d in dets) / len(dets)))
     elif len(dets) == 1:
@@ -291,22 +290,20 @@ def test_scores_match_the_per_pair_form():
             track.observe(det, track.filter.predict())
         n = track.first_frame + len(track.detections) + draw(st.integers(0, 5))
         impacts = draw(st.lists(st.floats(0.01, 5000.0), min_size=3, max_size=3))
-        profiles = {
-            cls: ClassProfile(cls, impact) for cls, impact in zip(SCOREABLE_CLASSES, impacts)
-        }
+        impact_values = dict(zip(SCOREABLE_CLASSES, impacts))
         weights = WeightConfig(*draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)))
-        return track, n, profiles, weights, draw(st.sampled_from(["descriptor", "confidence"]))
+        return track, n, impact_values, weights, draw(st.sampled_from(["descriptor", "confidence"]))
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(cases())
     def check(case):
-        track, n, profiles, weights, sc_mode = case
+        track, n, impact_values, weights, sc_mode = case
         expected = {
-            cls: _reference_scores(track, n, profile, weights, sc_mode)
-            for cls, profile in profiles.items()
+            cls: _reference_scores(track, n, impact, weights, sc_mode)
+            for cls, impact in impact_values.items()
         }
-        assert hypothesis_scores(track, n, profiles, weights, sc_mode) == expected
-        for cls, profile in profiles.items():
-            assert score_track(track, n, profile, weights, sc_mode) == expected[cls]
+        assert hypothesis_scores(track, n, impact_values, weights, sc_mode) == expected
+        for cls, impact in impact_values.items():
+            assert score_track(track, n, impact, weights, sc_mode) == expected[cls]
 
     check()

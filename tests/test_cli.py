@@ -222,6 +222,16 @@ def test_plot_missing_file(tmp_path, capsys):
     assert "absent.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "plot"])
+def test_a_trace_that_is_not_utf8_is_a_clean_error(tmp_path, capsys, command):
+    path = tmp_path / "utf16.jsonl"
+    path.write_bytes(b'\xff\xfe{"event_id": "e", "frame_count": 1}\n')
+    assert main(["--out", str(tmp_path), command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 1: not valid UTF-8 (invalid start byte at byte 0)\n"
+    )
+
+
 def test_kb_show_requires_existing_file(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "kb", "show"]) == 1
     assert "no knowledge base" in capsys.readouterr().err
@@ -311,3 +321,14 @@ def test_cli_import_skips_the_xml_and_url_libraries():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_cli_import_skips_the_plot_module():
+    # only the plot command renders SVG; it imports the module itself
+    src = os.path.dirname(os.path.dirname(curiophys.__file__))
+    code = "import curiophys.cli, sys; print('curiophys.plot' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

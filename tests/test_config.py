@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from curiophys import (
-    ClassProfile,
     ConfigError,
     CuriosityParams,
     ObjectClass,
@@ -61,10 +60,10 @@ def test_every_key_reaches_its_derived_field():
     )
     assert params.occlusion_coverage_min == 0.6
     assert params.sc_mode == "confidence"
-    assert params.profiles == {
-        ObjectClass.SPHERE: ClassProfile(ObjectClass.SPHERE, 20.0),
-        ObjectClass.CONE: ClassProfile(ObjectClass.CONE, 200.0),
-        ObjectClass.CUBE: ClassProfile(ObjectClass.CUBE, 2000.0),
+    assert params.impact_values == {
+        ObjectClass.SPHERE: 20.0,
+        ObjectClass.CONE: 200.0,
+        ObjectClass.CUBE: 2000.0,
     }
     assert params.scene == SceneBounds(width=800.0, height=600.0)
     assert (config.promotion_threshold, config.kb_path, config.out_dir, config.seed) == (
@@ -84,7 +83,16 @@ def test_every_key_reaches_its_derived_field():
         ("q", 0.0, "process_noise must be positive"),
         ("impact_values", {"wall": 1.0}, "cannot carry an impact value"),
         ("impact_values", {"sphere": 10.0}, "missing a value for cone, cube"),
+        (
+            "impact_values",
+            {"sphere": 10.0, "Sphere": 50.0, "cone": 100.0, "cube": 1000.0},
+            "impact_values names a class twice",
+        ),
         ("promotion_threshold", 0, "promotion_threshold must be >= 1"),
+        ("out_dir", 5, "out_dir must be a string"),
+        ("out_dir", None, "out_dir must be a string"),
+        ("kb_path", 3, "kb_path must be a string or null"),
+        ("kb_path", ["kb.json"], "kb_path must be a string or null"),
     ],
 )
 def test_invalid_values_are_config_errors(key, value, message):
@@ -116,3 +124,35 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_numbers_and_booleans_are_config_errors(key, value, message):
     with pytest.raises(ConfigError, match=message):
         config_from_document({key: value})
+
+
+# Keys that configure the run around the pipeline, not a parameter type.
+RUN_KEYS = {"promotion_threshold", "kb_path", "out_dir", "seed"}
+
+
+def _settable_values(params, prefix=""):
+    """Every field a caller can set, nested parameter types flattened."""
+    values = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            values.update(_settable_values(value, f"{prefix}{f.name}."))
+        else:
+            values[prefix + f.name] = value
+    return values
+
+
+def test_every_parameter_field_has_exactly_one_config_key():
+    # a field no key reaches is a knob nothing sets: make it a constant
+    defaults = _settable_values(CuriosityParams())
+    reached_by = {}
+    for key, value in NON_DEFAULT.items():
+        values = _settable_values(config_from_document({key: value}).curiosity_params())
+        changed = [name for name in defaults if values[name] != defaults[name]]
+        if key in RUN_KEYS:
+            assert changed == [], key
+            continue
+        assert len(changed) == 1, (key, changed)
+        assert changed[0] not in reached_by, (key, reached_by)
+        reached_by[changed[0]] = key
+    assert set(reached_by) == set(defaults)

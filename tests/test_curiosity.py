@@ -332,8 +332,38 @@ def test_context_invariants():
 def test_params_validation():
     with pytest.raises(ValueError, match="occlusion_coverage_min"):
         CuriosityParams(occlusion_coverage_min=0.0)
-    with pytest.raises(ValueError, match="occluder_inflation"):
-        CuriosityParams(occluder_inflation=-1.0)
+
+
+C, K, W = ObjectClass.CONE, ObjectClass.CUBE, ObjectClass.WALL
+
+
+@pytest.mark.parametrize(
+    "impact_values, message",
+    [
+        pytest.param({S: 10.0, C: 100.0, K: 1000.0, W: 5.0}, "'wall' cannot carry", id="wall"),
+        pytest.param({S: 10.0}, "missing a value for cone, cube", id="missing"),
+        pytest.param({S: 0.0, C: 100.0, K: 1000.0}, "sphere must be a finite number > 0", id="zero"),
+        pytest.param({S: 10.0, C: -1.0, K: 1000.0}, "cone must be a finite number > 0", id="negative"),
+        pytest.param({S: 10.0, C: 100.0, K: float("nan")}, "cube must be a finite", id="nan"),
+        pytest.param({S: float("inf"), C: 100.0, K: 1000.0}, "sphere must be a finite", id="inf"),
+        pytest.param({S: True, C: 100.0, K: 1000.0}, "sphere must be a finite", id="bool"),
+        pytest.param({"sphere": 10.0, C: 100.0, K: 1000.0}, "not an ObjectClass", id="name"),
+    ],
+)
+def test_params_reject_bad_impact_values(impact_values, message):
+    with pytest.raises(ValueError, match=message):
+        CuriosityParams(impact_values=impact_values)
+
+
+def test_params_keep_their_own_copy_of_the_impact_values():
+    values = {S: 10.0, C: 100.0, K: 1000.0}
+    params = CuriosityParams(impact_values=values)
+    del values[C]  # the params' own copy still scores a cone
+    verdict = classify_event(
+        _generated(ScenarioKind.POSSIBLE_VISIBLE, object_class=C), KnowledgeBase(), params
+    )
+    assert verdict.track_scores[0].object_class is C
+    assert params.impact_values == {S: 10.0, C: 100.0, K: 1000.0}
 
 
 def test_exception_flag_requires_contradiction():

@@ -151,6 +151,13 @@ def test_scenario_spec_validation():
         )
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.5])
+def test_scenario_spec_rejects_a_noise_sigma_that_is_not_a_finite_non_negative_number(sigma):
+    # NaN fails every comparison, so `< 0` alone lets it through
+    with pytest.raises(ScenarioError, match="noise_sigma must be a finite number >= 0"):
+        generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, noise_sigma=sigma))
+
+
 def test_build_spec_fills_default_occluder():
     spec = build_spec(ScenarioKind.POSSIBLE_OCCLUDED)
     assert spec.occluder is not None
@@ -191,6 +198,16 @@ def test_parse_rejects_malformed_lines():
             header
             + '{"frame_index": 0, "detections": [{"class": "blob", "confidence": 0.5, "bbox": [1, 2, 3, 4]}]}\n'
         )
+
+
+def test_parse_rejects_bytes_that_are_not_utf8(tmp_path):
+    with pytest.raises(TraceParseError, match="line 1: not valid UTF-8"):
+        parse_trace(b'\xff\xfe{"event_id": "e", "frame_count": 0}\n')
+    path = tmp_path / "latin1.jsonl"
+    text = '{"event_id": "e", "frame_count": 1}\n{"frame_index": 0, "note": "caf\xe9"}\n'
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(TraceParseError, match="line 2: not valid UTF-8"):
+        read_trace_file(path)
 
 
 @pytest.mark.parametrize("value", [None, 7, 1.5, True, {"a": 1}, ["e"]])

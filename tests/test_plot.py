@@ -4,11 +4,10 @@ from curiophys import (
     ScenarioKind,
     build_spec,
     generate_event,
-    plot_event,
-    render_event_svg,
     trace_discontinuities,
     track_event,
 )
+from curiophys.plot import plot_event, render_event_svg
 from trace_builders import ObjectScript, build_trace, linear_script
 
 
@@ -70,12 +69,6 @@ def test_plot_event_writes_svg_and_per_track_csv(tmp_path):
     csv_lines = open(written[1], encoding="utf-8").read().splitlines()
     assert csv_lines[0] == "frame,observed_x,observed_y,predicted_x,predicted_y,residual,present"
     assert len(csv_lines) == 11
-
-
-def test_plot_event_honors_stem(tmp_path):
-    trace = build_trace("ignored", 5, [linear_script((50.0, 100.0), (3.0, 0.0), range(5))])
-    written = plot_event(trace, tmp_path, stem="custom")
-    assert [os.path.basename(p) for p in written] == ["custom.svg", "custom-track0.csv"]
 
 
 def test_plot_output_is_deterministic(tmp_path):

@@ -1,7 +1,6 @@
 import pytest
 
 from curiophys import (
-    ClassProfile,
     Detection,
     EventTrace,
     FrameRecord,
@@ -11,6 +10,7 @@ from curiophys import (
     validate_trace,
 )
 from curiophys.trace_model import (
+    DEFAULT_IMPACT_VALUES,
     DEFAULT_SCENE,
     default_profiles,
     default_shape_descriptor,
@@ -26,21 +26,11 @@ def test_object_class_from_name():
         ObjectClass.from_name("pyramid")
 
 
-def test_class_profile_rejects_walls():
-    with pytest.raises(ValueError, match="occluder"):
-        ClassProfile(ObjectClass.WALL, 10.0)
-
-
-def test_class_profile_rejects_nonpositive_impact():
-    with pytest.raises(ValueError):
-        ClassProfile(ObjectClass.SPHERE, 0.0)
-
-
 def test_default_profiles_cover_scoreable_classes():
     profiles = default_profiles()
-    assert profiles[ObjectClass.SPHERE].impact_value == 10.0
-    assert profiles[ObjectClass.CONE].impact_value == 100.0
-    assert profiles[ObjectClass.CUBE].impact_value == 1000.0
+    assert profiles == {ObjectClass.SPHERE: 10.0, ObjectClass.CONE: 100.0, ObjectClass.CUBE: 1000.0}
+    profiles[ObjectClass.SPHERE] = 1.0  # a copy: the defaults stay as they are
+    assert DEFAULT_IMPACT_VALUES[ObjectClass.SPHERE] == 10.0
 
 
 def test_default_shape_descriptor():

@@ -348,8 +348,6 @@ def test_tracker_params_validation():
         TrackerParams(assoc_gate=0)
     with pytest.raises(ValueError, match="measurement_noise"):
         TrackerParams(measurement_noise=-1)
-    with pytest.raises(ValueError, match="shape_switch_min_run"):
-        TrackerParams(shape_switch_min_run=0)
 
 
 def test_track_csv_rows():
