@@ -152,6 +152,11 @@ def score_shape_constancy(track: Track, mode: str = DEFAULT_SC_MODE) -> float:
     shape descriptors of consecutive detected frames.  confidence mode:
     mean detection confidence, for comparability with detector-score-based
     reporting.  A single-detection track scores its one confidence either way.
+
+    A descriptor equal to the previous one with a finite norm scores
+    distance 0 without being recomputed, which is exactly what the distance
+    gives for equal finite vectors; a NaN entry or a norm that overflows
+    takes the full computation.
     """
     _reject_occluder(track)
     if mode not in SC_MODES:
@@ -169,6 +174,9 @@ def score_shape_constancy(track: Track, mode: str = DEFAULT_SC_MODE) -> float:
     distances = []
     for det in dets[1:]:
         cur = det.shape_descriptor
+        if cur == prev and prev_norm < math.inf:
+            distances.append(0.0)
+            continue
         cur_norm = _norm(cur)
         distances.append(_normalized_distance(prev, cur, prev_norm, cur_norm))
         prev, prev_norm = cur, cur_norm

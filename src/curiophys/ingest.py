@@ -116,6 +116,8 @@ def _check_spec(spec: ScenarioSpec) -> None:
         raise ScenarioError(f"frame_count must be >= 10, got {spec.frame_count}")
     if not (math.isfinite(spec.noise_sigma) and spec.noise_sigma >= 0):
         raise ScenarioError(f"noise_sigma must be a finite number >= 0, got {spec.noise_sigma}")
+    if not (len(spec.velocity) == 2 and all(map(math.isfinite, spec.velocity))):
+        raise ScenarioError(f"velocity must be two finite numbers, got {spec.velocity}")
     if not (0.0 <= spec.confidence <= 1.0):
         raise ScenarioError(f"confidence must be in [0, 1], got {spec.confidence}")
     if spec.object_class not in OBJECT_SIZES:

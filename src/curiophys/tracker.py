@@ -364,6 +364,11 @@ def track_discontinuities(
     and an appear over the same span; a gap at the start of the trace only
     an appear, a gap running to the end only a vanish.  Walls are scenery:
     they get no discontinuities.
+
+    Two scans run only where they can find something: the gap scan when the
+    track has fewer detected frames than frames (some frame is None), the
+    class-run scan when more than one class was observed (the largest class
+    count is below the detected frames).
     """
     if track.is_occluder:
         return []
@@ -381,18 +386,20 @@ def track_discontinuities(
             )
         )
 
+    detected = track.detected_frames
     # maximal runs of absent frames within the track span
-    gap_start: Optional[int] = None
-    for i, det in enumerate(track.detections):
-        frame = track.first_frame + i
-        if det is None and gap_start is None:
-            gap_start = frame
-        elif det is not None and gap_start is not None:
-            out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame - 1))
-            out.append(Discontinuity(DiscontinuityKind.APPEAR, tid, gap_start, frame - 1))
-            gap_start = None
-    if gap_start is not None:
-        out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame_count - 1))
+    if detected < len(track.detections):
+        gap_start: Optional[int] = None
+        for i, det in enumerate(track.detections):
+            frame = track.first_frame + i
+            if det is None and gap_start is None:
+                gap_start = frame
+            elif det is not None and gap_start is not None:
+                out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame - 1))
+                out.append(Discontinuity(DiscontinuityKind.APPEAR, tid, gap_start, frame - 1))
+                gap_start = None
+        if gap_start is not None:
+            out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame_count - 1))
 
     # positional jumps: matched detections far from the coasting prediction
     for i, residual in enumerate(track.residuals):
@@ -407,14 +414,14 @@ def track_discontinuities(
             )
 
     # class switches: a sustained run of a different class than established
-    runs: list[Tuple[ObjectClass, int, int]] = []  # (class, start_frame, count)
-    for frame, det in track.observed():
-        cls = det.object_class
-        if runs and runs[-1][0] is cls:
-            runs[-1] = (cls, runs[-1][1], runs[-1][2] + 1)
-        else:
-            runs.append((cls, frame, 1))
-    if runs:
+    if max(track._class_counts) < detected:
+        runs: list[Tuple[ObjectClass, int, int]] = []  # (class, start_frame, count)
+        for frame, det in track.observed():
+            cls = det.object_class
+            if runs and runs[-1][0] is cls:
+                runs[-1] = (cls, runs[-1][1], runs[-1][2] + 1)
+            else:
+                runs.append((cls, frame, 1))
         established = runs[0][0]
         for cls, start, count in runs[1:]:
             if cls is not established and count >= SHAPE_SWITCH_MIN_RUN:

@@ -269,10 +269,18 @@ def test_scores_match_the_per_pair_form():
     @st.composite
     def cases(draw):
         dim = draw(st.integers(1, 4))
-        value = st.just(0.0) | st.floats(-1e3, 1e3) | st.sampled_from([1e-300, 1e150, -2.5])
-        vector = st.tuples(*[value] * dim)
-        # a small pool makes repeats, zero vectors and consecutive zero pairs common
-        pool = draw(st.lists(vector, min_size=1, max_size=4)) + [(0.0,) * dim]
+        if draw(st.integers(0, 9)) == 0:
+            # one vector whose norm overflows, repeated: equal pairs without
+            # a finite norm
+            pool = [(1e300,) * dim, tuple(list((1e300,) * dim))]
+        else:
+            value = st.just(0.0) | st.floats(-1e3, 1e3) | st.sampled_from([1e-300, 1e150, -2.5])
+            vector = st.tuples(*[value] * dim)
+            # a small pool makes repeats, zero vectors and consecutive zero pairs
+            # common; equal copies that are distinct objects and a signed-zero
+            # twin make pairs that are equal without being the same tuple
+            pool = draw(st.lists(vector, min_size=1, max_size=4))
+            pool += [tuple(list(v)) for v in pool] + [(0.0,) * dim, (-0.0,) * dim]
         detections = [
             Detection(
                 ObjectClass.SPHERE,
@@ -307,3 +315,15 @@ def test_scores_match_the_per_pair_form():
             assert score_track(track, n, impact, weights, sc_mode) == expected[cls]
 
     check()
+
+
+@pytest.mark.parametrize("descriptor", [(math.nan, 1.0), (math.inf, 1.0)])
+def test_a_repeated_non_finite_descriptor_is_not_scored_as_unchanged(descriptor):
+    # one tuple object equals itself even holding NaN, so only the norm test
+    # keeps these pairs off the distance-0 path
+    det = Detection(ObjectClass.SPHERE, 0.6, (10.0, 10.0, 4.0, 4.0), descriptor)
+    track = Track(0, 0, det, TrackerParams())
+    for _ in range(2):
+        track.observe(det, track.filter.predict())
+    expected = _reference_scores(track, 3, SPHERE10, WeightConfig(), "descriptor").s_sc
+    assert score_shape_constancy(track) == expected == 0.0

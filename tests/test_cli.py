@@ -46,6 +46,8 @@ def test_generate_rejects_bad_arguments(tmp_path, capsys):
     assert "--velocity" in capsys.readouterr().err
     assert main(args + ["--velocity", "fast,0"]) == 1
     assert "two numbers" in capsys.readouterr().err
+    assert main(args + ["--velocity", "nan,0"]) == 1
+    assert "velocity must be two finite numbers" in capsys.readouterr().err
 
 
 def test_classify_writes_verdicts_and_kb(tmp_path, capsys):

@@ -158,6 +158,15 @@ def test_scenario_spec_rejects_a_noise_sigma_that_is_not_a_finite_non_negative_n
         generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, noise_sigma=sigma))
 
 
+@pytest.mark.parametrize(
+    "velocity", [(float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 3.0)]
+)
+def test_scenario_spec_rejects_a_velocity_that_is_not_finite(velocity):
+    # a NaN velocity used to be reported as a path that leaves the scene
+    with pytest.raises(ScenarioError, match="velocity must be two finite numbers"):
+        generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=velocity))
+
+
 def test_build_spec_fills_default_occluder():
     spec = build_spec(ScenarioKind.POSSIBLE_OCCLUDED)
     assert spec.occluder is not None

@@ -21,7 +21,9 @@ from curiophys import (
 from curiophys.ingest import scripted_violation_frame
 from curiophys.trace_model import class_order_index
 from curiophys.tracker import (
+    SHAPE_SWITCH_MIN_RUN,
     CovarianceError,
+    Discontinuity,
     PointFilter,
     Track,
     _check_covariance,
@@ -664,6 +666,97 @@ def test_association_matches_the_reference():
         trace, params = scene
         assert _track_summary(track_event(trace, params)) == _track_summary(
             _reference_track_event(trace, params)
+        )
+
+    check()
+
+
+def _reference_discontinuities(track, frame_count, params):
+    """All three scans over every frame, whatever the track's aggregates say."""
+    if track.is_occluder:
+        return []
+    tid = track.track_id
+    out = []
+    if track.first_frame > 0:
+        detail = f"first detected at frame {track.first_frame}"
+        out.append((DiscontinuityKind.APPEAR, tid, 0, track.first_frame - 1, detail))
+    gap_start = None
+    for i, det in enumerate(track.detections):
+        frame = track.first_frame + i
+        if det is None and gap_start is None:
+            gap_start = frame
+        elif det is not None and gap_start is not None:
+            out.append((DiscontinuityKind.VANISH, tid, gap_start, frame - 1, ""))
+            out.append((DiscontinuityKind.APPEAR, tid, gap_start, frame - 1, ""))
+            gap_start = None
+    if gap_start is not None:
+        out.append((DiscontinuityKind.VANISH, tid, gap_start, frame_count - 1, ""))
+    for i, residual in enumerate(track.residuals):
+        if i > 0 and residual is not None and residual > params.jump_gate:
+            frame = track.first_frame + i
+            detail = f"residual {residual:.1f}px"
+            out.append((DiscontinuityKind.JUMP, tid, frame, frame, detail))
+    runs = []  # [class, start_frame, count]
+    for frame, det in track.observed():
+        if runs and runs[-1][0] is det.object_class:
+            runs[-1][2] += 1
+        else:
+            runs.append([det.object_class, frame, 1])
+    if runs:
+        established = runs[0][0]
+        for cls, start, count in runs[1:]:
+            if cls is not established and count >= SHAPE_SWITCH_MIN_RUN:
+                detail = f"{established.value} -> {cls.value}"
+                out.append((DiscontinuityKind.SHAPE_SWITCH, tid, start, start, detail))
+                established = cls
+    order = [
+        DiscontinuityKind.VANISH,
+        DiscontinuityKind.APPEAR,
+        DiscontinuityKind.JUMP,
+        DiscontinuityKind.SHAPE_SWITCH,
+    ]
+    out.sort(key=lambda d: (d[2], d[3], order.index(d[0])))
+    return [Discontinuity(*d) for d in out]
+
+
+def test_discontinuities_match_the_all_scans_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    objects = [ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE]
+    params = TrackerParams()
+
+    @st.composite
+    def tracks(draw):
+        if draw(st.integers(0, 9)) == 0:
+            established, others = ObjectClass.WALL, [ObjectClass.WALL]
+        else:
+            established = draw(st.sampled_from(objects))
+            others = [c for c in objects if c is not established]
+        # runs of the established class broken by runs of 1-4 frames of another
+        # class, so A -> B -> A, blips, sustained switches and returns all occur
+        classes = [established] * draw(st.integers(1, 6))
+        for _ in range(draw(st.integers(0, 4))):
+            classes += [draw(st.sampled_from(others))] * draw(st.integers(1, 4))
+            classes += [established] * draw(st.integers(0, 6))
+        gaps = st.integers(0, 3) if draw(st.booleans()) else st.just(0)
+        x = 50.0
+        track = Track(0, draw(st.integers(0, 4)), _unit_box((x, 100.0), classes[0]), params)
+        for cls in classes[1:]:
+            for _ in range(draw(gaps)):
+                track.coast(track.filter.predict())
+            x += draw(st.sampled_from([3.0, 3.0, 3.0, 200.0]))  # now and then a jump
+            track.observe(_unit_box((x, 100.0), cls), track.filter.predict())
+        for _ in range(draw(gaps)):
+            track.coast(track.filter.predict())
+        return track
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(tracks())
+    def check(track):
+        frame_count = track.first_frame + len(track.detections)
+        assert track_discontinuities(track, frame_count, params) == (
+            _reference_discontinuities(track, frame_count, params)
         )
 
     check()
