@@ -40,13 +40,13 @@ from .ingest import (
     ScenarioKind,
     ScenarioSpec,
     TraceParseError,
-    TraceValidationError,
     build_spec,
     default_occluder,
     encode_trace,
     generate_event,
     parse_trace,
     read_trace_file,
+    validate_trace,
     write_trace_file,
 )
 from .knowledge import (
@@ -79,7 +79,6 @@ from .trace_model import (
     class_order_index,
     default_profiles,
     default_shape_descriptor,
-    validate_trace,
 )
 from .tracker import (
     CovarianceError,

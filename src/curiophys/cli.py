@@ -22,7 +22,6 @@ from .ingest import (
     ScenarioError,
     ScenarioKind,
     TraceParseError,
-    TraceValidationError,
     build_spec,
     generate_event,
     read_trace_file,
@@ -36,6 +35,7 @@ from .knowledge import (
     save_kb_file,
 )
 from .trace_model import ObjectClass
+from .tracker import CovarianceError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -148,7 +148,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     for trace_path in args.traces:
         try:
             traces.append(read_trace_file(trace_path, scene=config.scene()))
-        except (OSError, TraceParseError, TraceValidationError) as exc:
+        except (OSError, TraceParseError) as exc:
             raise CliError(f"{trace_path}: {exc}") from None
 
     if not traces:
@@ -186,7 +186,7 @@ def _looks_like_report(path: str) -> bool:
 def cmd_plot(args: argparse.Namespace, config: RunConfig) -> int:
     try:
         trace = read_trace_file(args.trace, scene=config.scene())
-    except (OSError, TraceParseError, TraceValidationError) as exc:
+    except (OSError, TraceParseError) as exc:
         if _looks_like_report(args.trace):
             raise CliError(
                 f"{args.trace} is a verdict report; plotting needs the event's trace file "
@@ -265,6 +265,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args, config)
     except (CliError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except CovarianceError as exc:
+        # the filter's closed-form update loses precision at extreme settings
+        print(
+            f"error: the filter settings q={config.q}, r={config.r}, p0={config.p0} "
+            f"exceed its arithmetic: {exc}",
+            file=sys.stderr,
+        )
         return EXIT_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Trace file I/O and deterministic synthetic event generation.
+"""Trace file I/O, the trace contract, and deterministic synthetic event generation.
 
 Trace file format (UTF-8, line-delimited JSON):
   line 1     header {"event_id", "frame_count", "ground_truth"?}
@@ -33,20 +33,11 @@ from .trace_model import (
     SceneBounds,
     is_finite_number,
     is_integer,
-    validate_trace,
 )
 
 
 class TraceParseError(ValueError):
     """Malformed trace file; message names the offending line."""
-
-
-class TraceValidationError(ValueError):
-    """Structurally parseable trace that violates model invariants."""
-
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
 
 
 class ScenarioError(ValueError):
@@ -282,8 +273,82 @@ def _next_class(cls: ObjectClass) -> ObjectClass:
 
 
 # ---------------------------------------------------------------------------
-# Encoding / parsing
+# The trace contract, encoding and parsing
 # ---------------------------------------------------------------------------
+
+class _Contract:
+    """Each value rule of a trace, written once: validate_trace reports
+    every violation, parse_trace raises the first with its line.  One
+    instance checks one trace; its first non-empty descriptor fixes the length."""
+
+    def __init__(self) -> None:
+        self.descriptor: Optional[Tuple[int, int]] = None  # (length, frame)
+
+    @staticmethod
+    def header(frame_count: int, ground_truth: Optional[GroundTruth]) -> list[str]:
+        violations = []
+        if frame_count < 1:
+            violations.append("trace: must contain at least one frame")
+        if ground_truth is not None:
+            if not ground_truth.object_classes:
+                violations.append("ground_truth: object_classes must be non-empty")
+            if ObjectClass.UNKNOWN in ground_truth.object_classes:
+                violations.append("ground_truth: class 'unknown' not allowed")
+        return violations
+
+    def detection(self, det: Detection, frame_index: int) -> list[str]:
+        violations = []
+        if det.object_class is ObjectClass.UNKNOWN:
+            violations.append("class 'unknown' not allowed in detections")
+        if not math.isfinite(det.confidence):
+            violations.append(f"confidence {det.confidence} is not finite")
+        elif not 0.0 <= det.confidence <= 1.0:
+            violations.append(f"confidence {det.confidence} outside [0, 1]")
+        bbox_finite = len(det.bbox) == 4
+        if not bbox_finite:
+            violations.append(f"bbox has {len(det.bbox)} entries, expected 4")
+        for name, value in zip(("x", "y", "width", "height"), det.bbox):
+            if not math.isfinite(value):
+                violations.append(f"bbox {name} {value} is not finite")
+                bbox_finite = False
+            elif value <= 0 and name in ("width", "height"):
+                violations.append(f"bbox {name} must be > 0, got {value}")
+        if bbox_finite:
+            # finite entries near the float limit: x + width/2 overflows
+            cx, cy = det.center
+            if not math.isfinite(cx):
+                violations.append(f"bbox center x {cx} is not finite")
+            if not math.isfinite(cy):
+                violations.append(f"bbox center y {cy} is not finite")
+        descriptor = det.shape_descriptor
+        for k, value in enumerate(descriptor):
+            if not math.isfinite(value):
+                violations.append(f"shape_descriptor[{k}] {value} is not finite")
+        if not descriptor:
+            # zero-length descriptors would score a perfect shape constancy
+            violations.append("shape_descriptor must not be empty")
+        elif self.descriptor is None:
+            self.descriptor = (len(descriptor), frame_index)
+        elif len(descriptor) != self.descriptor[0]:
+            violations.append(
+                f"shape_descriptor dimension {len(descriptor)} != {self.descriptor[0]} "
+                f"(established at frame {self.descriptor[1]})"
+            )
+        return violations
+
+
+def validate_trace(trace: EventTrace) -> list[str]:
+    """Check a trace built in code against the trace contract; return every
+    violation, a detection's as `frame F, detection D: …`.  An empty list
+    means the trace is well-formed and parse_trace reads its encoding."""
+    contract = _Contract()
+    violations = contract.header(trace.frame_count, trace.ground_truth)
+    for frame_index, detections in enumerate(trace.frames):
+        for d_idx, det in enumerate(detections):
+            for v in contract.detection(det, frame_index):
+                violations.append(f"frame {frame_index}, detection {d_idx}: {v}")
+    return violations
+
 
 def _detection_to_json(det: Detection) -> dict:
     return {
@@ -343,13 +408,7 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
         )
     box = _numbers(bbox, line_no, "bbox")
     if descriptor is not None:
-        if not descriptor:
-            # zero-length descriptors would score a perfect shape constancy
-            raise TraceParseError(f"line {line_no}: shape_descriptor must not be empty")
         descriptor = _numbers(descriptor, line_no, "shape_descriptor")
-    elif box[3] == 0:
-        # the default descriptor divides by the height
-        raise TraceParseError(f"line {line_no}: bbox[3] must be > 0, got {bbox[3]!r}")
     return Detection.build(cls, float(confidence), box, descriptor, scene=scene)
 
 
@@ -378,10 +437,8 @@ def parse_trace(
 ) -> EventTrace:
     """Parse one trace; the result always passes validate_trace cleanly.
 
-    Raises TraceParseError for malformed records, a frame_index out of
-    sequence included (the message names the line), and
-    TraceValidationError when the parsed trace violates invariants.
-    """
+    Raises TraceParseError `line N: …` at the first malformed record or
+    contract violation (`line N: detection D: …` for a detection's)."""
     data = source if isinstance(source, (bytes, str)) else source.read()
     text = _decode(data) if isinstance(data, bytes) else data
 
@@ -391,22 +448,22 @@ def parse_trace(
     if not lines:
         raise TraceParseError("line 1: empty trace file")
 
-    def load_line(idx: int) -> dict:
+    def load_line(line_no: int) -> dict:
         try:
-            record = json.loads(lines[idx])
+            record = json.loads(lines[line_no - 1])
         except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {idx + 1}: invalid JSON ({exc.msg})") from None
+            raise TraceParseError(f"line {line_no}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict):
-            raise TraceParseError(f"line {idx + 1}: record must be a JSON object")
+            raise TraceParseError(f"line {line_no}: record must be a JSON object")
         return record
 
-    header = load_line(0)
+    header = load_line(1)
     event_id = _require(header, "event_id", 1)
     if not isinstance(event_id, str):
         raise TraceParseError(f"line 1: event_id must be a string, got {event_id!r}")
     frame_count = _require(header, "frame_count", 1)
-    if not is_integer(frame_count) or frame_count < 0:
-        raise TraceParseError("line 1: frame_count must be a non-negative integer")
+    if not is_integer(frame_count):
+        raise TraceParseError(f"line 1: frame_count must be an integer, got {frame_count!r}")
 
     ground_truth = None
     gt_obj = header.get("ground_truth")
@@ -427,33 +484,37 @@ def parse_trace(
             raise TraceParseError(f"line 1: {exc}") from None
         ground_truth = GroundTruth(possible=possible, object_classes=gt_classes)
 
+    contract = _Contract()
+    violations = contract.header(frame_count, ground_truth)
+    if violations:
+        raise TraceParseError(f"line 1: {violations[0]}")
+
     frames = []
-    for idx in range(1, len(lines)):
-        record = load_line(idx)
-        frame_index = _require(record, "frame_index", idx + 1)
+    for line_no in range(2, len(lines) + 1):
+        record = load_line(line_no)
+        frame_index = _require(record, "frame_index", line_no)
         if not is_integer(frame_index):
-            raise TraceParseError(f"line {idx + 1}: frame_index must be an integer")
+            raise TraceParseError(f"line {line_no}: frame_index must be an integer")
         if frame_index != len(frames):
             raise TraceParseError(
-                f"line {idx + 1}: frame_index expected {len(frames)}, found {frame_index} "
+                f"line {line_no}: frame_index expected {len(frames)}, found {frame_index} "
                 "(frames must be consecutive from 0)"
             )
         dets = record.get("detections", [])
         if not isinstance(dets, list):
-            raise TraceParseError(f"line {idx + 1}: detections must be an array")
-        frames.append(tuple(_parse_detection(d, idx + 1, scene) for d in dets))
+            raise TraceParseError(f"line {line_no}: detections must be an array")
+        frame = tuple(_parse_detection(d, line_no, scene) for d in dets)
+        for d_idx, det in enumerate(frame):
+            violations = contract.detection(det, frame_index)
+            if violations:
+                raise TraceParseError(f"line {line_no}: detection {d_idx}: {violations[0]}")
+        frames.append(frame)
 
-    trace = EventTrace(event_id=event_id, frames=tuple(frames), ground_truth=ground_truth)
-
-    violations = validate_trace(trace)
-    if frame_count != trace.frame_count:
-        violations.insert(
-            0,
-            f"header: frame_count {frame_count} != number of frame records {trace.frame_count}",
+    if frame_count != len(frames):
+        raise TraceParseError(
+            f"line 1: frame_count {frame_count} != number of frame records {len(frames)}"
         )
-    if violations:
-        raise TraceValidationError(violations)
-    return trace
+    return EventTrace(event_id=event_id, frames=tuple(frames), ground_truth=ground_truth)
 
 
 def write_trace_file(trace: EventTrace, path) -> None:

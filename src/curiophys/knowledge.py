@@ -310,6 +310,11 @@ def _is_str(value) -> bool:
     return isinstance(value, str)
 
 
+def _is_count(value) -> bool:
+    # a running mean divides by the count as a float
+    return is_integer(value) and is_finite_number(value)
+
+
 def _section(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -332,7 +337,7 @@ def kb_from_document(doc) -> KnowledgeBase:
         try:
             cls = ObjectClass.from_name(_field(entry, "class", _is_str, "a string"))
             mean = float(_field(entry, "mean", is_finite_number, "a finite number"))
-            count = _field(entry, "count", is_integer, "an integer")
+            count = _field(entry, "count", _is_count, "an integer a float can hold")
         except (KeyError, TypeError, ValueError) as exc:
             raise _load_error(f"class_stats[{i}]: {exc}") from None
         if cls not in SCOREABLE_CLASSES:

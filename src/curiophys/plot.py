@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from typing import Sequence, Tuple
 
 from .trace_model import EventTrace
@@ -41,7 +42,8 @@ def _escape(text: str) -> str:
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
-    raw_step = (hi - lo) / target
+    # halved, so a span wider than the float range does not overflow
+    raw_step = (hi / 2 - lo / 2) / target * 2
     mag = 10 ** math.floor(math.log10(raw_step))
     for mult in (1, 2, 5, 10):
         step = mult * mag
@@ -68,9 +70,13 @@ class _Panel:
         self.f_lo, self.f_hi = frames
         lo, hi = values
         if hi - lo < 1e-9:
-            lo, hi = lo - 1.0, hi + 1.0
-        pad = 0.05 * (hi - lo)
-        self.v_lo, self.v_hi = lo - pad, hi + pad
+            # wide enough to survive rounding at the value's magnitude
+            widen = max(1.0, abs(lo) * 1e-9)
+            lo, hi = lo - widen, hi + widen
+        # spans are halved, and the range clamped, so no step overflows
+        pad = 0.1 * (hi / 2 - lo / 2)
+        self.v_lo = max(lo - pad, -sys.float_info.max)
+        self.v_hi = min(hi + pad, sys.float_info.max)
 
     def fx(self, frame: float) -> float:
         if self.f_hi == self.f_lo:
@@ -78,7 +84,8 @@ class _Panel:
         return _MARGIN_L + (frame - self.f_lo) / (self.f_hi - self.f_lo) * _PANEL_W
 
     def fy(self, value: float) -> float:
-        return self.top + _PANEL_H - (value - self.v_lo) / (self.v_hi - self.v_lo) * _PANEL_H
+        span = self.v_hi / 2 - self.v_lo / 2
+        return self.top + _PANEL_H - (value / 2 - self.v_lo / 2) / span * _PANEL_H
 
 
 def _polyline(points: Sequence[Tuple[float, float]], color: str, dashed: bool) -> str:
@@ -238,14 +245,14 @@ def plot_event(
         sep and sep in event_id for sep in (os.sep, os.altsep, "\0")
     ):
         raise ValueError(f"event_id {event_id!r} cannot name a file inside the output directory")
-    os.makedirs(out_dir, exist_ok=True)
     tracks = track_event(trace, params)
-    discontinuities = trace_discontinuities(tracks, trace.frame_count, params)
+    svg = render_event_svg(trace, tracks, trace_discontinuities(tracks, trace.frame_count, params))
+    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     svg_path = os.path.join(out_dir, f"{event_id}.svg")
     with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_event_svg(trace, tracks, discontinuities))
+        fh.write(svg)
     written.append(svg_path)
 
     for track in tracks:

@@ -117,7 +117,8 @@ def default_shape_descriptor(
     appearance data supply their own fixed-length vectors instead.
     """
     _, _, w, h = bbox
-    return (w / h, (w * h) / scene.area)
+    # a height of 0 gives aspect NaN, which the trace contract rejects
+    return (w / h if h else math.nan, (w * h) / scene.area)
 
 
 @dataclass(frozen=True)
@@ -171,64 +172,3 @@ class EventTrace:
     def frame_count(self) -> int:
         return len(self.frames)
 
-
-def validate_trace(trace: EventTrace) -> list[str]:
-    """Check every type invariant; return human-readable violations.
-
-    Pure: the same trace always yields the same list.  An empty list
-    means the trace is well-formed.
-    """
-    violations: list[str] = []
-    if trace.frame_count < 1:
-        violations.append("trace: must contain at least one frame")
-
-    descriptor_dim: Optional[int] = None
-    descriptor_origin = 0
-    for frame_index, detections in enumerate(trace.frames):
-        for d_idx, det in enumerate(detections):
-            where = f"frame {frame_index}, detection {d_idx}"
-            if det.object_class is ObjectClass.UNKNOWN:
-                violations.append(f"{where}: class 'unknown' not allowed in detections")
-            if not math.isfinite(det.confidence):
-                violations.append(f"{where}: confidence {det.confidence} is not finite")
-            elif not (0.0 <= det.confidence <= 1.0):
-                violations.append(
-                    f"{where}: confidence {det.confidence} outside [0, 1]"
-                )
-            bbox_finite = len(det.bbox) == 4
-            if not bbox_finite:
-                violations.append(f"{where}: bbox has {len(det.bbox)} entries, expected 4")
-            for name, value in zip(("x", "y", "width", "height"), det.bbox):
-                if not math.isfinite(value):
-                    violations.append(f"{where}: bbox {name} {value} is not finite")
-                    bbox_finite = False
-                elif name in ("width", "height") and value <= 0:
-                    violations.append(f"{where}: bbox {name} must be > 0, got {value}")
-            if bbox_finite:
-                # finite entries near the float limit: x + width/2 overflows
-                cx, cy = det.center
-                if not math.isfinite(cx):
-                    violations.append(f"{where}: bbox center x {cx} is not finite")
-                if not math.isfinite(cy):
-                    violations.append(f"{where}: bbox center y {cy} is not finite")
-            for k, value in enumerate(det.shape_descriptor):
-                if not math.isfinite(value):
-                    violations.append(f"{where}: shape_descriptor[{k}] {value} is not finite")
-            if not det.shape_descriptor:
-                violations.append(f"{where}: shape_descriptor must not be empty")
-            elif descriptor_dim is None:
-                descriptor_dim = len(det.shape_descriptor)
-                descriptor_origin = frame_index
-            elif len(det.shape_descriptor) != descriptor_dim:
-                violations.append(
-                    f"{where}: shape_descriptor dimension {len(det.shape_descriptor)} "
-                    f"!= {descriptor_dim} (established at frame {descriptor_origin})"
-                )
-
-    gt = trace.ground_truth
-    if gt is not None:
-        if not gt.object_classes:
-            violations.append("ground_truth: object_classes must be non-empty")
-        if ObjectClass.UNKNOWN in gt.object_classes:
-            violations.append("ground_truth: class 'unknown' not allowed")
-    return violations

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import pytest
 
@@ -153,7 +155,7 @@ def test_classify_rejects_an_overflowing_bbox_center(tmp_path, capsys):
     path = tmp_path / "overflow.jsonl"
     write_trace_file(trace, path)
     assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 1
-    assert "frame 0, detection 0: bbox center x inf is not finite" in capsys.readouterr().err
+    assert "line 2: detection 0: bbox center x inf is not finite" in capsys.readouterr().err
     assert not (tmp_path / "results" / "verdicts.jsonl").exists()
 
 
@@ -175,7 +177,7 @@ def test_classify_rejects_an_empty_shape_descriptor(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "results"), "classify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "line 2: shape_descriptor must not be empty" in err
+    assert "line 2: detection 0: shape_descriptor must not be empty" in err
     assert not (tmp_path / "results" / "verdicts.jsonl").exists()
 
 
@@ -231,6 +233,42 @@ def test_plot_keeps_its_files_inside_the_output_directory(tmp_path, capsys, abso
         f"error: {path}: event_id {event_id!r} cannot name a file inside the output directory\n"
     )
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+@pytest.mark.parametrize(
+    "detections",
+    [
+        # a span wider than the float range: the tick step used to overflow
+        (
+            Detection(ObjectClass.SPHERE, 0.6, (-1e308, 0.0, 10.0, 10.0), (1.0, 0.1)),
+            Detection(ObjectClass.CUBE, 0.6, (1e308, 0.0, 10.0, 10.0), (1.0, 0.1)),
+        ),
+        # one value so large that widening it by 1 rounds back to it
+        (Detection(ObjectClass.SPHERE, 0.6, (1e17, 0.0, 10.0, 10.0), (1.0, 0.1)),),
+    ],
+    ids=["span-beyond-float-range", "value-beyond-unit-precision"],
+)
+def test_plot_draws_values_at_the_edge_of_the_float_range(tmp_path, capsys, detections):
+    path = tmp_path / "far.jsonl"
+    write_trace_file(EventTrace("far", (detections,), None), path)
+    assert main(["--out", str(tmp_path / "classified"), "classify", str(path)]) == 0
+    assert main(["--out", str(tmp_path / "plots"), "plot", str(path)]) == 0
+    svg = (tmp_path / "plots" / "far.svg").read_text()
+    ElementTree.fromstring(svg)
+    assert not re.search(r"\b(nan|inf)\b", svg, re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", ["classify", "plot"])
+def test_filter_settings_beyond_its_arithmetic_are_a_clean_error(tmp_path, capsys, command):
+    trace = str(_generate(tmp_path / "events"))
+    config = tmp_path / "config.json"
+    config.write_text('{"p0": 1e20}')
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out_dir), command, trace]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the filter settings q=1.0, r=2.0, p0=1e+20 exceed its arithmetic: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_plot_missing_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
 import importlib
+import json
 import re
 import types
 from pathlib import Path
 
 import curiophys
+from curiophys import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +37,10 @@ def test_readme_lists_every_public_name_of_the_package_root():
         owner = importlib.import_module(f"curiophys.{module}")
         for name in module_names:
             assert getattr(owner, name) is getattr(curiophys, name), (module, name)
+
+
+def test_readme_config_defaults_are_the_run_config_defaults():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == dataclasses.asdict(RunConfig())

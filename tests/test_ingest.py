@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,12 +13,12 @@ from curiophys import (
     ScenarioError,
     ScenarioKind,
     TraceParseError,
-    TraceValidationError,
     build_spec,
     encode_trace,
     generate_event,
     parse_trace,
     read_trace_file,
+    validate_trace,
     write_trace_file,
 )
 from curiophys.ingest import Rect, ScenarioSpec, default_occluder, scripted_violation_frame
@@ -234,8 +235,9 @@ def test_parse_rejects_inconsistent_header_count():
     lines = encode_trace(trace).splitlines()
     header = json.loads(lines[0])
     header["frame_count"] = 99
-    with pytest.raises(TraceValidationError, match="frame_count"):
+    with pytest.raises(TraceParseError) as excinfo:
         parse_trace("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert str(excinfo.value) == "line 1: frame_count 99 != number of frame records 12"
 
 
 def test_parse_rejects_string_boolean_ground_truth():
@@ -304,7 +306,7 @@ def test_parse_rejects_zero_height_without_descriptor():
         det["bbox"][3] = 0
         del det["shape_descriptor"]
 
-    with pytest.raises(TraceParseError, match=r"^line 7: bbox\[3\] must be > 0, got 0$"):
+    with pytest.raises(TraceParseError, match=r"^line 7: detection 0: bbox height must be > 0, got 0\.0$"):
         parse_trace(_doctor_frame_5(edit))
 
 
@@ -312,7 +314,7 @@ def test_parse_rejects_an_empty_shape_descriptor():
     def edit(det):
         det["shape_descriptor"] = []
 
-    with pytest.raises(TraceParseError, match=r"^line 7: shape_descriptor must not be empty$"):
+    with pytest.raises(TraceParseError, match=r"^line 7: detection 0: shape_descriptor must not be empty$"):
         parse_trace(_doctor_frame_5(edit))
 
 
@@ -321,9 +323,59 @@ def test_parse_rejects_an_overflowing_bbox_center():
     def edit(det):
         det["bbox"] = [1.7e308, 100, 1e308, 20]
 
-    with pytest.raises(TraceValidationError) as excinfo:
+    with pytest.raises(TraceParseError) as excinfo:
         parse_trace(_doctor_frame_5(edit))
-    assert excinfo.value.violations == ["frame 5, detection 0: bbox center x inf is not finite"]
+    assert str(excinfo.value) == "line 7: detection 0: bbox center x inf is not finite"
+
+
+def _doctored(line_index, path, value) -> str:
+    """A generated 12-frame trace whose record on line line_index + 1 has
+    the field at path (keys and indices) set to value."""
+    lines = encode_trace(generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))).splitlines()
+    record = json.loads(lines[line_index])
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    lines[line_index] = json.dumps(record)
+    return "\n".join(lines) + "\n"
+
+
+# Every contract rule a file can break; the three tests above pin the empty
+# descriptor, a height of 0 without a descriptor and an overflowing center x.
+CONTRACT_VIOLATIONS = {
+    "unknown-class": (6, ("detections", 0, "class"), "unknown", "class 'unknown' not allowed in detections"),
+    "confidence-above-1": (6, ("detections", 0, "confidence"), 1.5, "confidence 1.5 outside [0, 1]"),
+    "confidence-below-0": (6, ("detections", 0, "confidence"), -0.25, "confidence -0.25 outside [0, 1]"),
+    "width-0": (6, ("detections", 0, "bbox", 2), 0, "bbox width must be > 0, got 0.0"),
+    "height-negative": (6, ("detections", 0, "bbox", 3), -2, "bbox height must be > 0, got -2.0"),
+    "center-y-overflow": (
+        6, ("detections", 0, "bbox"), [100, 1.7e308, 20, 1e308], "bbox center y inf is not finite"
+    ),
+    "descriptor-length": (
+        6,
+        ("detections", 0, "shape_descriptor"),
+        [1.0, 0.5, 0.25],
+        "shape_descriptor dimension 3 != 2 (established at frame 0)",
+    ),
+    "no-frames": (0, ("frame_count",), 0, "trace: must contain at least one frame"),
+    "ground-truth-empty": (
+        0, ("ground_truth", "object_classes"), [], "ground_truth: object_classes must be non-empty"
+    ),
+    "ground-truth-unknown": (
+        0, ("ground_truth", "object_classes"), ["cube", "unknown"], "ground_truth: class 'unknown' not allowed"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_VIOLATIONS)
+def test_parse_names_the_line_and_detection_of_each_contract_violation(case):
+    line_index, path, value, rule = CONTRACT_VIOLATIONS[case]
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(_doctored(line_index, path, value))
+    where = "line 1" if line_index == 0 else f"line {line_index + 1}: detection 0"
+    assert str(excinfo.value) == f"{where}: {rule}"
+
 
 def test_parse_ignores_unknown_fields_and_never_writes_them():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
@@ -416,5 +468,73 @@ def test_traces_built_in_code_round_trip():
             f"line {position + 2}: frame_index expected {position}, found {found} "
             "(frames must be consecutive from 0)"
         )
+
+    check()
+
+
+def test_validate_trace_agrees_with_parse_trace():
+    # validate_trace(t) == [] exactly when t's encoding parses, and a file
+    # that fails names the line of the first violation validate_trace lists
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    classes = st.sampled_from(CLASSES + (ObjectClass.WALL,))
+
+    def number(lo, hi):
+        # floats or ints, never bools
+        return st.floats(lo, hi) | st.integers(math.ceil(lo), math.floor(hi))
+
+    @st.composite
+    def traces(draw):
+        dim = draw(st.integers(1, 3))
+        coordinate, side = number(-1e4, 1e4), number(1e-3, 1e4)
+        descriptor = st.tuples(*[number(-1e6, 1e6)] * dim)
+        detection = st.builds(
+            Detection, classes, number(0, 1), st.tuples(coordinate, coordinate, side, side), descriptor
+        )
+        # one field of a valid detection made invalid
+        breaks = st.one_of(
+            st.tuples(st.just("object_class"), st.just(ObjectClass.UNKNOWN)),
+            st.tuples(st.just("confidence"), number(-10, -1e-3) | number(1.001, 10) | non_finite),
+            st.tuples(
+                st.just("bbox"),
+                st.tuples(coordinate, coordinate, number(-1e4, 0), side)
+                | st.tuples(coordinate, non_finite, side, side)
+                | st.sampled_from([(1.7e308, 0.0, 1e308, 10.0), (0.0, 1.7e308, 10.0, 1e308)]),
+            ),
+            st.tuples(
+                st.just("shape_descriptor"),
+                st.just(())
+                | st.tuples(*[number(-1e6, 1e6)] * (dim + 1))
+                | st.tuples(non_finite, *[number(-1e6, 1e6)] * (dim - 1)),
+            ),
+        )
+        frames = draw(st.lists(st.lists(detection, max_size=3), max_size=5))
+        slots = [(f, d) for f, frame in enumerate(frames) for d in range(len(frame))]
+        if slots:
+            for slot, (field, value) in draw(st.lists(st.tuples(st.sampled_from(slots), breaks), max_size=2)):
+                f, d = slot
+                frames[f][d] = replace(frames[f][d], **{field: value})
+        bad_classes = st.just([]) | st.lists(classes, max_size=2).map(lambda c: c + [ObjectClass.UNKNOWN])
+        ground_truth = draw(
+            st.none()
+            | st.builds(GroundTruth, st.booleans(), st.lists(classes, min_size=1, max_size=3).map(tuple))
+            | st.builds(GroundTruth, st.booleans(), bad_classes.map(tuple))
+        )
+        return EventTrace(draw(st.text(max_size=8)), tuple(map(tuple, frames)), ground_truth)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(traces())
+    def check(trace):
+        violations = validate_trace(trace)
+        text = encode_trace(trace)
+        if not violations:
+            assert parse_trace(text) == trace
+            return
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(text)
+        first = violations[0]
+        line = int(first.split(",")[0].removeprefix("frame ")) + 2 if first.startswith("frame ") else 1
+        assert str(excinfo.value).startswith(f"line {line}: ")
 
     check()

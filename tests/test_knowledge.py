@@ -266,6 +266,7 @@ def test_load_rejects_string_booleans(field):
         ("exceptions", "verdict_agent", "maybe", "verdict_agent must be one of"),
         ("exceptions", "verdict_ground_truth", True, "verdict_ground_truth must be one of"),
         ("class_stats", "mean", 10**400, "mean must be a finite number"),
+        ("class_stats", "count", 10**400, "count must be an integer a float can hold"),
         ("class_stats", "class", 5, "class must be a string"),
     ],
 )
