@@ -19,6 +19,7 @@ is an estimate, not an observation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Tuple, Union
@@ -38,6 +39,7 @@ from .knowledge import (
     ExceptionSignature,
     KnowledgeBase,
     ZNumber,
+    exception_to_json,
     raw_distances,
     z_number,
 )
@@ -307,6 +309,20 @@ def _flag_word(possible: bool) -> str:
     return Flag.POSSIBLE.value if possible else Flag.IMPOSSIBLE.value
 
 
+def _check_finite_scores(event_id: str, track_scores: Sequence[TrackScore]) -> None:
+    """An impact value near the float limit can overflow a score; such an
+    event is an error before it reaches the knowledge base or a report."""
+    for ts in track_scores:
+        s = ts.scores
+        for name, value in (("s_op", s.s_op), ("s_sc", s.s_sc), ("s_stc", s.s_stc), ("a", s.a)):
+            if not math.isfinite(value):
+                raise EventError(
+                    event_id,
+                    f"track {ts.track_id} ({ts.object_class.value}): {name} is {value}, "
+                    "not a finite number",
+                )
+
+
 def classify_event(
     trace: EventTrace, kb: KnowledgeBase, params: CuriosityParams = CuriosityParams()
 ) -> EventVerdict:
@@ -347,6 +363,7 @@ def classify_event(
         )
         for t in objects
     )
+    _check_finite_scores(trace.event_id, track_scores)
 
     z: Optional[ZNumber] = None
     raw: Optional[dict[ObjectClass, float]] = None
@@ -486,14 +503,9 @@ def verdict_to_json(result: StreamResult) -> dict:
     if result.raw_distances is not None:
         doc["raw_distances"] = {cls.value: val for cls, val in result.raw_distances.items()}
     if result.exception_signature is not None:
-        doc["exception"] = {
-            "violation_kinds": list(result.exception_signature.violation_kinds),
-            "occluder_present": result.exception_signature.occluder_present,
-            "verdict_agent": result.exception_signature.verdict_agent,
-            "verdict_ground_truth": result.exception_signature.verdict_ground_truth,
-            "occurrences": result.exception_occurrences,
-            "promoted": result.exception_promoted,
-        }
+        doc["exception"] = exception_to_json(
+            result.exception_signature, result.exception_occurrences, result.exception_promoted
+        )
     return doc
 
 

@@ -337,6 +337,20 @@ class _Contract:
         return violations
 
 
+def _number_violations(det: Detection) -> list[str]:
+    """The parser's number rule for a detection built in code: a value that
+    is not a float must be an int a float can hold, never a boolean.  Floats
+    that are not finite are left to the contract, which names them."""
+    numbers = [("confidence", det.confidence)]
+    numbers += [(f"bbox[{k}]", value) for k, value in enumerate(det.bbox)]
+    numbers += [(f"shape_descriptor[{k}]", value) for k, value in enumerate(det.shape_descriptor)]
+    return [
+        f"{name} must be a finite number, got {value!r}"
+        for name, value in numbers
+        if not (isinstance(value, float) or is_finite_number(value))
+    ]
+
+
 def validate_trace(trace: EventTrace) -> list[str]:
     """Check a trace built in code against the trace contract; return every
     violation, a detection's as `frame F, detection D: …`.  An empty list
@@ -345,7 +359,9 @@ def validate_trace(trace: EventTrace) -> list[str]:
     violations = contract.header(trace.frame_count, trace.ground_truth)
     for frame_index, detections in enumerate(trace.frames):
         for d_idx, det in enumerate(detections):
-            for v in contract.detection(det, frame_index):
+            # the contract's arithmetic needs numbers, as the parser's does
+            found = _number_violations(det) or contract.detection(det, frame_index)
+            for v in found:
                 violations.append(f"frame {frame_index}, detection {d_idx}: {v}")
     return violations
 

@@ -13,6 +13,7 @@ truth instead of being flagged again.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -43,7 +44,8 @@ ScoreInput = Union[float, Mapping[ObjectClass, float]]
 
 
 class DegenerateStatsError(ValueError):
-    """Class statistics unusable for inference (empty, or a mean of zero)."""
+    """Class statistics unusable for inference (empty, a mean of zero, or
+    a mean so small that the relative distances overflow)."""
 
 
 class AmbiguousScoreError(ValueError):
@@ -80,16 +82,17 @@ class ZNumber:
     def __post_init__(self):
         total = 0.0
         for cls, value in self.b.items():
-            if value < 0:
-                raise ValueError(f"confidence for {cls.value} is negative: {value}")
+            if not value >= 0:
+                raise ValueError(f"confidence for {cls.value} is negative or NaN: {value}")
             total += value
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"confidences sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExceptionSignature:
-    """What made an event exceptional, abstracted for repeat detection."""
+    """What made an event exceptional, abstracted for repeat detection.
+    Signatures order by their fields, which is the order kb.json lists them in."""
 
     violation_kinds: tuple[str, ...]
     occluder_present: bool
@@ -148,15 +151,7 @@ class KnowledgeBase:
     # -- exceptions --------------------------------------------------------
 
     def exceptions(self) -> list[ExceptionRecord]:
-        return sorted(
-            self._exceptions.values(),
-            key=lambda r: (
-                r.signature.violation_kinds,
-                r.signature.occluder_present,
-                r.signature.verdict_agent,
-                r.signature.verdict_ground_truth,
-            ),
-        )
+        return sorted(self._exceptions.values(), key=lambda r: r.signature)
 
     def record_exception(self, signature: ExceptionSignature) -> ExceptionRecord:
         record = self._exceptions.setdefault(signature, ExceptionRecord(signature))
@@ -228,12 +223,15 @@ def raw_distances(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectCl
 def confidence(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectClass, float]:
     """Per-class confidences B_c: relative distances normalized to sum 1.
 
-    Smaller means closer.  Raises DegenerateStatsError on unusable stats
-    and AmbiguousScoreError when every distance is zero (nothing to
-    normalize; the caller breaks the tie by class order).
+    Smaller means closer.  Raises DegenerateStatsError on unusable stats,
+    including relative distances that overflow, and AmbiguousScoreError
+    when every distance is zero (nothing to normalize; the caller breaks
+    the tie by class order).
     """
     rel = relative_distances(a_u, stats)
     total = sum(rel.values())
+    if not math.isfinite(total):
+        raise DegenerateStatsError(f"relative distances overflow (sum {total})")
     if total == 0.0:
         raise AmbiguousScoreError("a_u coincides with every class mean")
     return {cls: value / total for cls, value in rel.items()}
@@ -270,16 +268,21 @@ def kb_to_document(kb: KnowledgeBase) -> dict:
             for st in kb.stats()
         ],
         "exceptions": [
-            {
-                "violation_kinds": list(rec.signature.violation_kinds),
-                "occluder_present": rec.signature.occluder_present,
-                "verdict_agent": rec.signature.verdict_agent,
-                "verdict_ground_truth": rec.signature.verdict_ground_truth,
-                "occurrences": rec.occurrences,
-                "promoted": rec.promoted,
-            }
+            exception_to_json(rec.signature, rec.occurrences, rec.promoted)
             for rec in kb.exceptions()
         ],
+    }
+
+
+def exception_to_json(signature: ExceptionSignature, occurrences: int, promoted: bool) -> dict:
+    """One exception record as kb.json and verdicts.jsonl write it."""
+    return {
+        "violation_kinds": list(signature.violation_kinds),
+        "occluder_present": signature.occluder_present,
+        "verdict_agent": signature.verdict_agent,
+        "verdict_ground_truth": signature.verdict_ground_truth,
+        "occurrences": occurrences,
+        "promoted": promoted,
     }
 
 

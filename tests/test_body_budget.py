@@ -4,23 +4,25 @@ import random
 import pytest
 
 from curiophys import (
-    BodyBudgetScores,
     ObjectClass,
     ScenarioKind,
     WeightConfig,
     build_spec,
     composite_score,
-    focus_track,
     generate_event,
-    hypothesis_scores,
-    normalized_euclidean_distance,
     score_object_permanence,
-    score_shape_constancy,
     score_spatial_temporal,
-    score_track,
     track_event,
 )
-from curiophys.body_budget import IMPACT_SCALE
+from curiophys.body_budget import (
+    IMPACT_SCALE,
+    BodyBudgetScores,
+    focus_track,
+    hypothesis_scores,
+    normalized_euclidean_distance,
+    score_shape_constancy,
+    score_track,
+)
 from curiophys.trace_model import DEFAULT_IMPACT_VALUES, SCOREABLE_CLASSES, Detection
 from curiophys.tracker import Track, TrackerParams
 

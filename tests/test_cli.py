@@ -8,14 +8,11 @@ from xml.etree import ElementTree
 import pytest
 
 import curiophys
-from curiophys import (
-    Detection,
-    EventTrace,
-    ObjectClass,
-    load_kb_file,
-    write_trace_file,
-)
+from curiophys import ObjectClass
 from curiophys.cli import main
+from curiophys.ingest import write_trace_file
+from curiophys.knowledge import load_kb_file
+from curiophys.trace_model import Detection, EventTrace
 from trace_builders import build_trace, linear_script
 
 VISIBLE = "possible-visible-sphere-f90-s0.jsonl"
@@ -195,6 +192,46 @@ def test_classify_scores_descriptors_whose_squares_overflow(tmp_path, capsys):
     assert verdict["flag"] in ("possible", "impossible")
     # distance 1.0 between the two descriptors: shape constancy 0
     assert [t["s_sc"] for t in verdict["track_scores"]] == [0.0]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _strict_lines(path):
+    return [json.loads(line, parse_constant=_reject_constant) for line in path.read_text().splitlines()]
+
+
+def test_a_score_that_overflows_is_an_error_line(tmp_path, capsys):
+    # 54 detections x 0.6 x 1e307 / 1000 exceeds the float range
+    trace = str(_generate(tmp_path))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"impact_values": {"sphere": 1e307, "cone": 100.0, "cube": 1000.0}}))
+    out_dir = tmp_path / "results"
+    message = "track 0 (sphere): s_op is inf, not a finite number"
+    for _ in range(2):  # the second run reloads the first run's knowledge base
+        assert main(["--config", str(config), "--out", str(out_dir), "classify", trace]) == 2
+        assert f"possible-visible-sphere-f90-s0: error ({message})" in capsys.readouterr().out
+        assert _strict_lines(out_dir / "verdicts.jsonl") == [
+            {"event_id": "possible-visible-sphere-f90-s0", "error": message}
+        ]
+        json.loads((out_dir / "kb.json").read_text(), parse_constant=_reject_constant)
+        assert load_kb_file(out_dir / "kb.json").stats() == []
+
+
+def test_relative_distances_that_overflow_leave_the_z_number_null(tmp_path, capsys):
+    # |1e-320 - 0.838| / 1e-320 exceeds the float range
+    trace = str(_generate(tmp_path))
+    kb_path = tmp_path / "kb.json"
+    stats = [{"class": "sphere", "mean": 1e-320, "count": 1}, {"class": "cube", "mean": 5.0, "count": 1}]
+    kb_path.write_text(json.dumps({"version": 1, "class_stats": stats}))
+    out_dir = tmp_path / "results"
+    assert main(["--kb", str(kb_path), "--out", str(out_dir), "classify", trace]) == 0
+    (verdict,) = _strict_lines(out_dir / "verdicts.jsonl")
+    assert verdict["flag"] == "possible"
+    assert verdict["z_number"] is None and verdict["raw_distances"] is None
+    json.loads(kb_path.read_text(), parse_constant=_reject_constant)
+    assert [st.count for st in load_kb_file(kb_path).stats()] == [2, 1]
 
 
 def test_plot_writes_svg_and_csv(tmp_path, capsys):

@@ -2,16 +2,11 @@ import dataclasses
 
 import pytest
 
-from curiophys import (
-    ConfigError,
-    CuriosityParams,
-    ObjectClass,
-    RunConfig,
-    SceneBounds,
-    TrackerParams,
-    WeightConfig,
-)
-from curiophys.config import config_from_document
+from curiophys import ObjectClass, WeightConfig
+from curiophys.config import ConfigError, RunConfig, config_from_document
+from curiophys.curiosity import CuriosityParams
+from curiophys.trace_model import SceneBounds
+from curiophys.tracker import TrackerParams
 
 # Every RunConfig key set to a value other than its default.
 NON_DEFAULT = {

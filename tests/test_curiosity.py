@@ -3,25 +3,26 @@ import json
 import pytest
 
 from curiophys import (
-    EXPLAIN_NONE,
-    EXPLAIN_OCCLUDER,
-    EXPLAIN_SCENE_BOUNDS,
-    CuriosityParams,
-    Discontinuity,
-    DiscontinuityKind,
-    EventError,
-    EventVerdict,
-    Explanation,
     Flag,
     KnowledgeBase,
     ObjectClass,
     ScenarioKind,
     build_spec,
     classify_event,
-    encode_verdicts,
     generate_event,
+)
+from curiophys.curiosity import (
+    EXPLAIN_NONE,
+    EXPLAIN_OCCLUDER,
+    EXPLAIN_SCENE_BOUNDS,
+    CuriosityParams,
+    EventError,
+    EventVerdict,
+    Explanation,
+    encode_verdicts,
     process_stream,
 )
+from curiophys.tracker import Discontinuity, DiscontinuityKind
 from trace_builders import ObjectScript, build_trace, linear_script
 
 S = ObjectClass.SPHERE

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import curiophys
-from curiophys import RunConfig
+from curiophys.config import RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

@@ -1,27 +1,24 @@
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
-from curiophys import (
-    Detection,
-    EventTrace,
-    GroundTruth,
-    ObjectClass,
+from curiophys import ObjectClass, ScenarioKind, build_spec, encode_trace, generate_event, parse_trace
+from curiophys.ingest import (
+    Rect,
     ScenarioError,
-    ScenarioKind,
+    ScenarioSpec,
     TraceParseError,
-    build_spec,
-    encode_trace,
-    generate_event,
-    parse_trace,
+    default_occluder,
     read_trace_file,
+    scripted_violation_frame,
     validate_trace,
     write_trace_file,
 )
-from curiophys.ingest import Rect, ScenarioSpec, default_occluder, scripted_violation_frame
+from curiophys.trace_model import Detection, EventTrace, GroundTruth
 
 ALL_KINDS = list(ScenarioKind)
 CLASSES = (ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE)
@@ -478,6 +475,9 @@ def test_validate_trace_agrees_with_parse_trace():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    beyond = int(sys.float_info.max) + 1
+    # values parse_trace does not read as numbers: booleans and ints no float can hold
+    unreadable = st.booleans() | st.integers(beyond, 10**400) | st.integers(-(10**400), -beyond)
     classes = st.sampled_from(CLASSES + (ObjectClass.WALL,))
 
     def number(lo, hi):
@@ -495,18 +495,23 @@ def test_validate_trace_agrees_with_parse_trace():
         # one field of a valid detection made invalid
         breaks = st.one_of(
             st.tuples(st.just("object_class"), st.just(ObjectClass.UNKNOWN)),
-            st.tuples(st.just("confidence"), number(-10, -1e-3) | number(1.001, 10) | non_finite),
+            st.tuples(
+                st.just("confidence"), number(-10, -1e-3) | number(1.001, 10) | non_finite | unreadable
+            ),
             st.tuples(
                 st.just("bbox"),
                 st.tuples(coordinate, coordinate, number(-1e4, 0), side)
                 | st.tuples(coordinate, non_finite, side, side)
+                | st.tuples(unreadable, coordinate, side, side)
+                | st.tuples(coordinate, coordinate, side, unreadable)
                 | st.sampled_from([(1.7e308, 0.0, 1e308, 10.0), (0.0, 1.7e308, 10.0, 1e308)]),
             ),
             st.tuples(
                 st.just("shape_descriptor"),
                 st.just(())
                 | st.tuples(*[number(-1e6, 1e6)] * (dim + 1))
-                | st.tuples(non_finite, *[number(-1e6, 1e6)] * (dim - 1)),
+                | st.tuples(non_finite, *[number(-1e6, 1e6)] * (dim - 1))
+                | st.tuples(*[number(-1e6, 1e6)] * (dim - 1), unreadable),
             ),
         )
         frames = draw(st.lists(st.lists(detection, max_size=3), max_size=5))

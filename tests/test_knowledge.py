@@ -1,24 +1,27 @@
 import json
+import math
 import random
 
 import pytest
 
 from curiophys import (
-    AmbiguousScoreError,
     ClassStats,
-    DegenerateStatsError,
     ExceptionSignature,
     KnowledgeBase,
-    KnowledgeLoadError,
     ObjectClass,
-    ZNumber,
     confidence,
     infer,
     load_kb,
-    load_kb_file,
     raw_distances,
-    relative_distances,
     save_kb,
+)
+from curiophys.knowledge import (
+    AmbiguousScoreError,
+    DegenerateStatsError,
+    KnowledgeLoadError,
+    ZNumber,
+    load_kb_file,
+    relative_distances,
     save_kb_file,
     z_number,
 )
@@ -148,6 +151,20 @@ def test_z_number_invariants():
         ZNumber(S, 1.0, {S: 0.4, K: 0.4})
     with pytest.raises(ValueError, match="negative"):
         ZNumber(S, 1.0, {S: -0.2, K: 1.2})
+
+
+def test_z_number_rejects_a_nan_confidence():
+    # NaN compares false both as negative and as a sum off 1
+    with pytest.raises(ValueError, match="NaN"):
+        ZNumber(S, 1.0, {S: math.nan, K: 1.0})
+
+
+def test_relative_distances_that_overflow_are_degenerate_stats():
+    # |1e-320 - 0.838| / 1e-320 exceeds the float range; inf / inf would be NaN
+    stats = _stats(sphere=1e-320, cube=5.0)
+    for infer_from in (confidence, z_number, infer):
+        with pytest.raises(DegenerateStatsError, match="overflow"):
+            infer_from(0.838, stats)
 
 
 def test_exception_promotion_at_threshold():

@@ -2,14 +2,9 @@ import os
 
 import pytest
 
-from curiophys import (
-    ScenarioKind,
-    build_spec,
-    generate_event,
-    trace_discontinuities,
-    track_event,
-)
+from curiophys import ScenarioKind, build_spec, generate_event, track_event
 from curiophys.plot import plot_event, render_event_svg
+from curiophys.tracker import trace_discontinuities
 from trace_builders import ObjectScript, build_trace, linear_script
 
 

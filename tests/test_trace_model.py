@@ -1,16 +1,14 @@
 import pytest
 
-from curiophys import (
-    Detection,
-    EventTrace,
-    GroundTruth,
-    ObjectClass,
-    SceneBounds,
-    validate_trace,
-)
+from curiophys import ObjectClass
+from curiophys.ingest import validate_trace
 from curiophys.trace_model import (
     DEFAULT_IMPACT_VALUES,
     DEFAULT_SCENE,
+    Detection,
+    EventTrace,
+    GroundTruth,
+    SceneBounds,
     default_profiles,
     default_shape_descriptor,
 )

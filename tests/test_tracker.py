@@ -4,31 +4,23 @@ import random
 
 import pytest
 
-from curiophys import (
-    Detection,
-    DiscontinuityKind,
-    EventTrace,
-    ObjectClass,
-    ScenarioKind,
-    TrackerParams,
-    build_spec,
-    generate_event,
-    trace_discontinuities,
-    track_event,
-    write_track_csv,
-)
+from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event
 from curiophys.ingest import scripted_violation_frame
-from curiophys.trace_model import class_order_index
+from curiophys.trace_model import Detection, EventTrace, class_order_index
 from curiophys.tracker import (
     SHAPE_SWITCH_MIN_RUN,
     CovarianceError,
     Discontinuity,
+    DiscontinuityKind,
     PointFilter,
     Track,
+    TrackerParams,
     _check_covariance,
     _det_key,
     _step_pool,
+    trace_discontinuities,
     track_discontinuities,
+    write_track_csv,
 )
 
 from trace_builders import ObjectScript, build_trace, linear_script

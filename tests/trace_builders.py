@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence, Tuple
 
-from curiophys import Detection, EventTrace, GroundTruth, ObjectClass
+from curiophys import ObjectClass
+from curiophys.trace_model import Detection, EventTrace, GroundTruth
 
 Center = Tuple[float, float]
 
