@@ -49,11 +49,20 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         step = mult * mag
         if raw_step <= step:
             break
+    # a step below the float spacing at the range's edge would not advance
+    # t (near 1e16 a step of 0.5 is a quarter of that spacing)
+    step = max(step, math.ulp(max(abs(lo), abs(hi))))
     first = math.ceil(lo / step) * step
-    ticks = []
+    # counted up front, so the loop is bounded; the slack keeps a last tick
+    # that the summed steps put a hair past hi
+    count = math.floor((hi / 2 - first / 2) / step * 2 + 1e-9) + 1
+    ticks: list[float] = []
     t = first
-    while t <= hi + 1e-9:
-        ticks.append(round(t, 9))
+    for _ in range(count):
+        tick = round(t, 9)
+        # rounding may merge neighbours or leave the range
+        if lo <= tick <= hi and (not ticks or tick > ticks[-1]):
+            ticks.append(tick)
         t += step
     return ticks
 

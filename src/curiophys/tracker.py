@@ -22,7 +22,10 @@ only against the detections in an x window twice the gate wide on each
 side, found by bisection.  Sorting allocates nothing per cell, so unlike
 a grid it already pays at twenty objects per frame; a pool with a single
 detection skips the sort.  A non-finite center or prediction has no
-candidates.
+candidates.  A pool of one track facing one detection has one candidate
+pair at most, so no order or rank can change its outcome: the pair is
+matched exactly when it passes the gate (a class mismatch included), and
+that test is all such a frame costs.
 
 A shape switch needs SHAPE_SWITCH_MIN_RUN consecutive observations of a
 new class, so a single misclassified frame is not a break.
@@ -229,7 +232,24 @@ def _step_pool(
     params: TrackerParams,
 ) -> list[Detection]:
     """Advance one association pool (objects or walls) by a single frame;
-    returns the detections that matched no track and should start new ones."""
+    returns the detections that matched no track and should start new ones.
+
+    One track and one detection make one candidate pair, and the greedy
+    order has nothing to rank it against: the pair is matched exactly when
+    it passes the gate, whatever the classes.  That is every frame after
+    birth of a single-object event, so it is answered without building the
+    candidate and pair lists.
+    """
+    if len(pool) == 1 and len(dets) == 1:
+        track, det = pool[0], dets[0]
+        predicted = px, py = track.filter.predict()
+        cx, cy = det.center
+        if not math.hypot(px - cx, py - cy) <= params.assoc_gate:
+            track.coast(predicted)
+            return [det]
+        track.observe(det, predicted)
+        return []
+
     predictions = [t.filter.predict() for t in pool]
     if not dets:
         for track, predicted in zip(pool, predictions):

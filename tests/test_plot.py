@@ -1,10 +1,16 @@
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from curiophys import ScenarioKind, build_spec, generate_event, track_event
+import curiophys
+from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event
+from curiophys.ingest import write_trace_file
 from curiophys.plot import plot_event, render_event_svg
 from curiophys.tracker import trace_discontinuities
+from curiophys.trace_model import Detection, EventTrace
 from trace_builders import ObjectScript, build_trace, linear_script
 
 
@@ -86,3 +92,70 @@ def test_plot_output_is_deterministic(tmp_path):
     a_dir.mkdir(), b_dir.mkdir()
     for first, second in zip(plot_event(trace, a_dir), plot_event(trace, b_dir)):
         assert open(first, "rb").read() == open(second, "rb").read()
+
+
+# A child that loops without end is cut by its timeout, and one that grows a
+# list without end by its address-space cap, so neither hangs the suite.
+_CHILD_SECONDS = 30
+_CHILD_ADDRESS_SPACE = 512 * 2**20
+
+
+def _run_bounded(args, cwd):
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+    src = os.path.dirname(os.path.dirname(curiophys.__file__))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=_CHILD_SECONDS,
+        preexec_fn=cap,
+    )
+
+
+def test_plot_ends_when_positions_span_a_few_ulps(tmp_path):
+    # near 1e16 floats are 2 apart: the two centers are neighbours, and a
+    # tick step of 0.5 used to leave the tick loop where it started
+    trace = EventTrace(
+        "ulps",
+        tuple(
+            (Detection(ObjectClass.SPHERE, 0.6, (x, 100.0, 4.0, 20.0), (1.0, 0.1)),)
+            for x in (9999999999999996.0, 9999999999999998.0)
+        ),
+        None,
+    )
+    write_trace_file(trace, tmp_path / "t.jsonl")
+    for command in ("classify", "plot"):
+        result = _run_bounded(
+            ["-m", "curiophys.cli", "--out", command, command, "t.jsonl"], tmp_path
+        )
+        assert result.returncode == 0, result.stderr
+    assert (tmp_path / "plot" / "ulps.svg").is_file()
+
+
+def test_ticks_are_few_distinct_and_inside_the_range(tmp_path):
+    ranges = [
+        (0.0, 89.0),
+        (-12.5, 647.25),
+        (9999999999999996.0, 9999999999999998.0),  # float spacing 2, step 0.5
+        (1e17 - 16.0, 1e17 + 16.0),
+        (2.0**60, 2.0**60 + 2.0**8),
+        (100.0, 100.000000001),  # steps finer than the 9 rounded digits
+        (0.0, 1e-300),
+        (-1.7e308, 1.7e308),
+    ]
+    code = (
+        "import json, sys; from curiophys.plot import _nice_ticks; "
+        "print(json.dumps([_nice_ticks(lo, hi) for lo, hi in json.loads(sys.argv[1])]))"
+    )
+    result = _run_bounded(["-c", code, json.dumps(ranges)], tmp_path)
+    assert result.returncode == 0, result.stderr
+    for (lo, hi), ticks in zip(ranges, json.loads(result.stdout)):
+        assert 1 <= len(ticks) <= 11, (lo, hi, ticks)
+        assert all(lo <= t <= hi for t in ticks), (lo, hi, ticks)
+        assert ticks == sorted(set(ticks)), (lo, hi, ticks)

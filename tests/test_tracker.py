@@ -494,6 +494,66 @@ def test_gate_boundaries_match_the_reference():
         assert [t.detected_frames for t in tracks] == detected, (first, second, gate)
 
 
+# (the track's first detection, the next frame's one detection, gate, matched)
+ONE_PAIR_CASES = [
+    # a class mismatch inside the gate is still the only pair, so it matches
+    (_unit_box((96.0, 20.0)), _unit_box((120.0, 20.0), ObjectClass.CUBE), 50.0, True),
+    (_unit_box((96.0, 20.0)), _unit_box((146.0, 20.0)), 50.0, True),  # exactly the gate
+    (_unit_box((96.0, 20.0)), _unit_box((math.nextafter(146.0, math.inf), 20.0)), 50.0, False),
+    # the detection's center overflows to inf
+    (
+        _unit_box((96.0, 20.0)),
+        Detection.build(ObjectClass.SPHERE, 0.6, (1.7e308, 100.0, 1e308, 20.0), (1.0, 0.1)),
+        50.0,
+        False,
+    ),
+    # a pool of one wall, at and one ulp beyond a non-default gate
+    (
+        _unit_box((300.0, 180.0), ObjectClass.WALL),
+        _unit_box((300.0, 187.5), ObjectClass.WALL),
+        7.5,
+        True,
+    ),
+    (
+        _unit_box((300.0, 180.0), ObjectClass.WALL),
+        _unit_box((300.0, math.nextafter(187.5, math.inf)), ObjectClass.WALL),
+        7.5,
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize("first, det, gate, matched", ONE_PAIR_CASES)
+def test_one_track_one_detection_matches_the_reference(monkeypatch, first, det, gate, matched):
+    params = TrackerParams(assoc_gate=gate)
+    pool, reference_pool = [Track(0, 0, first, params)], [Track(0, 0, first, params)]
+    calls = []
+    for name in ("predict", "update"):
+
+        def counted(self, *args, _method=getattr(PointFilter, name), _name=name):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(PointFilter, name, counted)
+    unmatched = _step_pool(pool, [det], params)
+    assert calls == (["predict", "update"] if matched else ["predict"])
+    assert unmatched == _reference_step_pool(reference_pool, [det], params)
+    assert unmatched == ([] if matched else [det])
+    assert _track_summary(pool) == _track_summary(reference_pool)
+    assert pool[0].detections[1] is (det if matched else None)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_generated_events_track_as_the_reference_does(kind):
+    for noise in (0.0, 0.5, 2.0, 4.0):
+        for seed in (0, 1, 2):
+            trace = generate_event(build_spec(kind, noise_sigma=noise, seed=seed))
+            params = TrackerParams()
+            assert _track_summary(track_event(trace, params)) == _track_summary(
+                _reference_track_event(trace, params)
+            ), (kind, noise, seed)
+
+
 def test_non_finite_positions_get_no_candidates():
     # a trace built in code skips validate_trace: one center overflows to
     # inf and one is NaN; neither may raise, match or be matched
@@ -604,6 +664,7 @@ def test_association_matches_the_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
+    object_classes = st.sampled_from([ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE])
     classes = st.sampled_from(
         [ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE, ObjectClass.WALL]
     )
@@ -630,13 +691,25 @@ def test_association_matches_the_reference():
         offset = st.sampled_from(
             [0.0, gate, -gate, gate / 2, -gate / 2, 2.0 * gate, 0.6 * gate, 0.8 * gate]
         )
+        # two frame shapes: up to ten detections of any class, or at most
+        # one object and one wall, which gives long runs of pools with one
+        # track facing one detection, broken by births and class changes
+        one_per_pool = draw(st.booleans())
         frames = []
-        for t in range(draw(st.integers(1, 7))):
+        for t in range(draw(st.integers(1, 12 if one_per_pool else 7))):
+            if one_per_pool:
+                frame_classes = [
+                    cls
+                    for cls in (draw(object_classes), ObjectClass.WALL)
+                    if draw(st.booleans())
+                ]
+            else:
+                frame_classes = [draw(classes) for _ in range(draw(st.integers(0, 10)))]
             dets = []
-            for _ in range(draw(st.integers(0, 10))):
+            for cls in frame_classes:
                 ax, ay = draw(st.sampled_from(anchors))
                 cx, cy = near(ax + draw(offset)), near(ay + draw(offset))
-                dets.append(_unit_box((cx, cy), draw(classes)))
+                dets.append(_unit_box((cx, cy), cls))
             frames.append(tuple(dets))
         return EventTrace("parity", tuple(frames), None), TrackerParams(assoc_gate=gate)
 
