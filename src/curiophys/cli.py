@@ -105,6 +105,10 @@ def _parse_velocity(text: str) -> Tuple[float, float]:
         raise CliError(f"--velocity expects two numbers, got {text!r}") from None
 
 
+def _fresh_kb(config: RunConfig) -> KnowledgeBase:
+    return KnowledgeBase(config.promotion_threshold or DEFAULT_PROMOTION_THRESHOLD)
+
+
 def _load_or_fresh_kb(config: RunConfig) -> Tuple[KnowledgeBase, str]:
     path = _kb_path(config)
     if os.path.exists(path):
@@ -115,7 +119,7 @@ def _load_or_fresh_kb(config: RunConfig) -> Tuple[KnowledgeBase, str]:
         if config.promotion_threshold is not None:
             kb.set_promotion_threshold(config.promotion_threshold)
     else:
-        kb = KnowledgeBase(config.promotion_threshold or DEFAULT_PROMOTION_THRESHOLD)
+        kb = _fresh_kb(config)
     return kb, path
 
 
@@ -207,7 +211,7 @@ def cmd_plot(args: argparse.Namespace, config: RunConfig) -> int:
 def cmd_kb(args: argparse.Namespace, config: RunConfig) -> int:
     path = _kb_path(config)
     if args.kb_command == "reset":
-        kb = KnowledgeBase(config.promotion_threshold or DEFAULT_PROMOTION_THRESHOLD)
+        kb = _fresh_kb(config)
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         save_kb_file(kb, path)

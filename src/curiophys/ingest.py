@@ -277,9 +277,10 @@ def _next_class(cls: ObjectClass) -> ObjectClass:
 # ---------------------------------------------------------------------------
 
 class _Contract:
-    """Each value rule of a trace, written once: validate_trace reports
-    every violation, parse_trace raises the first with its line.  One
-    instance checks one trace; its first non-empty descriptor fixes the length."""
+    """Each value rule of a trace past the number rule (_number_violations),
+    written once: validate_trace reports every violation, parse_trace raises
+    the first with its line.  One instance checks one trace; its first
+    non-empty descriptor fixes the length."""
 
     def __init__(self) -> None:
         self.descriptor: Optional[Tuple[int, int]] = None  # (length, frame)
@@ -300,20 +301,15 @@ class _Contract:
         violations = []
         if det.object_class is ObjectClass.UNKNOWN:
             violations.append("class 'unknown' not allowed in detections")
-        if not math.isfinite(det.confidence):
-            violations.append(f"confidence {det.confidence} is not finite")
-        elif not 0.0 <= det.confidence <= 1.0:
+        if not 0.0 <= det.confidence <= 1.0:
             violations.append(f"confidence {det.confidence} outside [0, 1]")
-        bbox_finite = len(det.bbox) == 4
-        if not bbox_finite:
-            violations.append(f"bbox has {len(det.bbox)} entries, expected 4")
-        for name, value in zip(("x", "y", "width", "height"), det.bbox):
-            if not math.isfinite(value):
-                violations.append(f"bbox {name} {value} is not finite")
-                bbox_finite = False
-            elif value <= 0 and name in ("width", "height"):
+        bbox = det.bbox
+        if len(bbox) != 4:
+            violations.append(f"bbox has {len(bbox)} entries, expected 4")
+        for name, value in zip(("width", "height"), bbox[2:]):
+            if value <= 0:
                 violations.append(f"bbox {name} must be > 0, got {value}")
-        if bbox_finite:
+        if len(bbox) == 4:
             # finite entries near the float limit: x + width/2 overflows
             cx, cy = det.center
             if not math.isfinite(cx):
@@ -321,6 +317,7 @@ class _Contract:
             if not math.isfinite(cy):
                 violations.append(f"bbox center y {cy} is not finite")
         descriptor = det.shape_descriptor
+        # a descriptor derived from the box can overflow (area of 1e200 x 1e200)
         for k, value in enumerate(descriptor):
             if not math.isfinite(value):
                 violations.append(f"shape_descriptor[{k}] {value} is not finite")
@@ -337,31 +334,33 @@ class _Contract:
         return violations
 
 
-def _number_violations(det: Detection) -> list[str]:
-    """The parser's number rule for a detection built in code: a value that
-    is not a float must be an int a float can hold, never a boolean.  Floats
-    that are not finite are left to the contract, which names them."""
-    numbers = [("confidence", det.confidence)]
-    numbers += [(f"bbox[{k}]", value) for k, value in enumerate(det.bbox)]
-    numbers += [(f"shape_descriptor[{k}]", value) for k, value in enumerate(det.shape_descriptor)]
-    return [
-        f"{name} must be a finite number, got {value!r}"
-        for name, value in numbers
-        if not (isinstance(value, float) or is_finite_number(value))
-    ]
+def _number_violations(confidence, bbox, descriptor) -> list[str]:
+    """The number rule of a detection: its confidence and every bbox and
+    descriptor entry is a finite float or an int a float can hold, never a
+    boolean.  One message per value that breaks it, in field order."""
+    violations = []
+    if not is_finite_number(confidence):
+        violations.append(f"confidence must be a finite number, got {confidence!r}")
+    for field, values in (("bbox", bbox), ("shape_descriptor", descriptor)):
+        for k, value in enumerate(values):
+            if not is_finite_number(value):
+                violations.append(f"{field}[{k}] must be a finite number, got {value!r}")
+    return violations
 
 
 def validate_trace(trace: EventTrace) -> list[str]:
     """Check a trace built in code against the trace contract; return every
-    violation, a detection's as `frame F, detection D: …`.  An empty list
-    means the trace is well-formed and parse_trace reads its encoding."""
+    violation, a detection's as `frame F, detection D: …` in parse_trace's
+    words.  A detection that breaks the number rule is reported for its
+    numbers only.  An empty list means the trace is well-formed and
+    parse_trace reads its encoding."""
     contract = _Contract()
     violations = contract.header(trace.frame_count, trace.ground_truth)
     for frame_index, detections in enumerate(trace.frames):
         for d_idx, det in enumerate(detections):
+            found = _number_violations(det.confidence, det.bbox, det.shape_descriptor)
             # the contract's arithmetic needs numbers, as the parser's does
-            found = _number_violations(det) or contract.detection(det, frame_index)
-            for v in found:
+            for v in found or contract.detection(det, frame_index):
                 violations.append(f"frame {frame_index}, detection {d_idx}: {v}")
     return violations
 
@@ -418,24 +417,12 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
     descriptor = obj.get("shape_descriptor")
     if descriptor is not None and not isinstance(descriptor, list):
         raise TraceParseError(f"line {line_no}: shape_descriptor must be an array")
-    if not is_finite_number(confidence):
-        raise TraceParseError(
-            f"line {line_no}: confidence must be a finite number, got {confidence!r}"
-        )
-    box = _numbers(bbox, line_no, "bbox")
+    violations = _number_violations(confidence, bbox, () if descriptor is None else descriptor)
+    if violations:
+        raise TraceParseError(f"line {line_no}: {violations[0]}")
     if descriptor is not None:
-        descriptor = _numbers(descriptor, line_no, "shape_descriptor")
-    return Detection.build(cls, float(confidence), box, descriptor, scene=scene)
-
-
-def _numbers(values: list, line_no: int, field: str) -> tuple:
-    """The entries of a detection array field; each must be a finite JSON number."""
-    for k, value in enumerate(values):
-        if not is_finite_number(value):
-            raise TraceParseError(
-                f"line {line_no}: {field}[{k}] must be a finite number, got {value!r}"
-            )
-    return tuple(map(float, values))
+        descriptor = tuple(map(float, descriptor))
+    return Detection.build(cls, float(confidence), tuple(map(float, bbox)), descriptor, scene=scene)
 
 
 def _decode(data: bytes) -> str:

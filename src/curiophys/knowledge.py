@@ -130,11 +130,9 @@ class KnowledgeBase:
     """
 
     def __init__(self, promotion_threshold: int = DEFAULT_PROMOTION_THRESHOLD):
-        if promotion_threshold < 1:
-            raise ValueError(f"promotion_threshold must be >= 1, got {promotion_threshold}")
-        self.promotion_threshold = promotion_threshold
         self._stats: dict[ObjectClass, ClassStats] = {}
         self._exceptions: dict[ExceptionSignature, ExceptionRecord] = {}
+        self.set_promotion_threshold(promotion_threshold)
 
     # -- class statistics ------------------------------------------------
 

@@ -8,10 +8,11 @@ files written alongside are the canonical data export.
 """
 from __future__ import annotations
 
+import csv
 import math
 import os
 import sys
-from typing import Sequence, Tuple
+from typing import IO, Iterator, Sequence, Tuple
 
 from .trace_model import EventTrace
 from .tracker import (
@@ -20,7 +21,6 @@ from .tracker import (
     TrackerParams,
     trace_discontinuities,
     track_event,
-    write_track_csv,
 )
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -67,8 +67,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _fmt_num(v: float) -> str:
-    return f"{v:g}"
+def _tick_labels(ticks: Sequence[float]) -> list[str]:
+    """One label per tick of an axis: `:g` where those tell the ticks apart,
+    else the fewest significant digits that do (17 tell any floats apart)."""
+    labels = [f"{t:g}" for t in ticks]
+    digits = 6
+    while len(set(labels)) < len(labels) and digits < 17:
+        digits += 1
+        labels = [f"{t:.{digits}g}" for t in ticks]
+    return labels
 
 
 class _Panel:
@@ -159,22 +166,24 @@ def _panel_svg(
             f'fill="#c44" opacity="0.12"/>'
         )
 
-    for tick in _nice_ticks(panel.v_lo, panel.v_hi):
+    ticks = _nice_ticks(panel.v_lo, panel.v_hi)
+    for tick, text in zip(ticks, _tick_labels(ticks)):
         y = panel.fy(tick)
         parts.append(
             f'<line x1="{_MARGIN_L - 4}" y1="{y:.2f}" x2="{_MARGIN_L}" y2="{y:.2f}" stroke="#888"/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L - 7}" y="{y + 3:.2f}" text-anchor="end" '
-            f'font-size="10">{_fmt_num(tick)}</text>'
+            f'font-size="10">{text}</text>'
         )
-    for tick in _nice_ticks(0, max(frame_count - 1, 1)):
+    ticks = _nice_ticks(0, max(frame_count - 1, 1))
+    for tick, text in zip(ticks, _tick_labels(ticks)):
         x = panel.fx(tick)
         y = top + _PANEL_H
         parts.append(f'<line x1="{x:.2f}" y1="{y}" x2="{x:.2f}" y2="{y + 4}" stroke="#888"/>')
         parts.append(
             f'<text x="{x:.2f}" y="{y + 14}" text-anchor="middle" '
-            f'font-size="10">{_fmt_num(tick)}</text>'
+            f'font-size="10">{text}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L - 40}" y="{top + _PANEL_H / 2:.2f}" font-size="11" '
@@ -237,6 +246,46 @@ def render_event_svg(
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# CSV report
+# ---------------------------------------------------------------------------
+
+TRACK_CSV_FIELDS = (
+    "frame",
+    "observed_x",
+    "observed_y",
+    "predicted_x",
+    "predicted_y",
+    "residual",
+    "present",
+)
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6f}"
+
+
+def track_csv_rows(track: Track) -> Iterator[tuple]:
+    """Rows for one track in TRACK_CSV_FIELDS order; absent frames leave the
+    observation and residual cells empty."""
+    for i, det in enumerate(track.detections):
+        frame = track.first_frame + i
+        px, py = track.centers_predicted[i]
+        if det is not None:
+            ox, oy = det.center
+            residual = track.residuals[i]
+            assert residual is not None
+            yield (frame, _fmt(ox), _fmt(oy), _fmt(px), _fmt(py), _fmt(residual), 1)
+        else:
+            yield (frame, "", "", _fmt(px), _fmt(py), "", 0)
+
+
+def write_track_csv(track: Track, fh: IO[str]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(TRACK_CSV_FIELDS)
+    writer.writerows(track_csv_rows(track))
 
 
 def plot_event(

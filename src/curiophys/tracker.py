@@ -20,25 +20,25 @@ and validate_trace admit.  Candidate pairs are found by sweep and prune
 are sorted once by center x, and each track tests the exact distance gate
 only against the detections in an x window twice the gate wide on each
 side, found by bisection.  Sorting allocates nothing per cell, so unlike
-a grid it already pays at twenty objects per frame; a pool with a single
-detection skips the sort.  A non-finite center or prediction has no
-candidates.  A pool of one track facing one detection has one candidate
-pair at most, so no order or rank can change its outcome: the pair is
-matched exactly when it passes the gate (a class mismatch included), and
-that test is all such a frame costs.
+a grid it already pays at twenty objects per frame.  A non-finite center
+or prediction has no candidates.  A pool with no track has no pair, so
+its detections are born in rank order without association.  A pool of
+one track facing one detection has one candidate pair at most, so no
+order or rank can change its outcome: the pair is matched exactly when
+it passes the gate (a class mismatch included), and that test is all
+such a frame costs.
 
 A shape switch needs SHAPE_SWITCH_MIN_RUN consecutive observations of a
 new class, so a single misclassified frame is not a break.
 """
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import IO, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .trace_model import CLASS_ORDER, Detection, EventTrace, ObjectClass, class_order_index
 
@@ -234,12 +234,15 @@ def _step_pool(
     """Advance one association pool (objects or walls) by a single frame;
     returns the detections that matched no track and should start new ones.
 
+    With no track there is no pair: every detection is born, in rank order.
     One track and one detection make one candidate pair, and the greedy
     order has nothing to rank it against: the pair is matched exactly when
     it passes the gate, whatever the classes.  That is every frame after
     birth of a single-object event, so it is answered without building the
     candidate and pair lists.
     """
+    if not pool:
+        return sorted(dets, key=_det_key)
     if len(pool) == 1 and len(dets) == 1:
         track, det = pool[0], dets[0]
         predicted = px, py = track.filter.predict()
@@ -257,21 +260,15 @@ def _step_pool(
         return []
 
     gate = params.assoc_gate
-    if len(dets) == 1:
-        canon = [0]
-        cx, cy = dets[0].center
-        candidates = [(cx, cy, dets[0].object_class, 0, 0)]
-        xs = None
-    else:
-        keys = [_det_key(d) for d in dets]
-        canon = sorted(range(len(dets)), key=keys.__getitem__)
-        candidates = []
-        for rank, dj in enumerate(canon):
-            cx, cy = dets[dj].center
-            if cx == cx:  # a NaN x passes no gate and does not sort
-                candidates.append((cx, cy, dets[dj].object_class, rank, dj))
-        candidates.sort(key=itemgetter(0))
-        xs = [c[0] for c in candidates]
+    keys = [_det_key(d) for d in dets]
+    canon = sorted(range(len(dets)), key=keys.__getitem__)
+    candidates = []
+    for rank, dj in enumerate(canon):
+        cx, cy = dets[dj].center
+        if cx == cx:  # a NaN x passes no gate and does not sort
+            candidates.append((cx, cy, dets[dj].object_class, rank, dj))
+    candidates.sort(key=itemgetter(0))
+    xs = [c[0] for c in candidates]
     # Sweep and prune: a track tests only the candidates whose x lies in
     # [px - reach, px + reach].  A pair within the gate has
     # |fl(px - cx)| <= hypot(...) <= gate, so the exact |px - cx| exceeds
@@ -291,9 +288,7 @@ def _step_pool(
     for ti, track in enumerate(pool):
         px, py = predictions[ti]
         cls, tid = track.last_class, track.track_id
-        window = candidates
-        if xs is not None:
-            window = candidates[bisect_left(xs, px - reach) : bisect_right(xs, px + reach)]
+        window = candidates[bisect_left(xs, px - reach) : bisect_right(xs, px + reach)]
         for cx, cy, det_cls, rank, dj in window:
             dist = hypot(px - cx, py - cy)
             if not dist <= gate:  # NaN is never a candidate
@@ -465,42 +460,3 @@ def trace_discontinuities(
     out.sort(key=lambda d: (d.start_frame, d.end_frame, _KIND_ORDER[d.kind], d.track_id))
     return out
 
-
-# ---------------------------------------------------------------------------
-# CSV report
-# ---------------------------------------------------------------------------
-
-TRACK_CSV_FIELDS = (
-    "frame",
-    "observed_x",
-    "observed_y",
-    "predicted_x",
-    "predicted_y",
-    "residual",
-    "present",
-)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
-
-
-def track_csv_rows(track: Track) -> Iterator[tuple]:
-    """Rows for one track in TRACK_CSV_FIELDS order; absent frames leave the
-    observation and residual cells empty."""
-    for i, det in enumerate(track.detections):
-        frame = track.first_frame + i
-        px, py = track.centers_predicted[i]
-        if det is not None:
-            ox, oy = det.center
-            residual = track.residuals[i]
-            assert residual is not None
-            yield (frame, _fmt(ox), _fmt(oy), _fmt(px), _fmt(py), _fmt(residual), 1)
-        else:
-            yield (frame, "", "", _fmt(px), _fmt(py), "", 0)
-
-
-def write_track_csv(track: Track, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(TRACK_CSV_FIELDS)
-    writer.writerows(track_csv_rows(track))

@@ -435,3 +435,14 @@ def test_cli_import_skips_the_plot_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "False\n"
+
+
+def test_cli_import_skips_the_csv_module():
+    # only the plot command writes CSV, through the plot module
+    src = os.path.dirname(os.path.dirname(curiophys.__file__))
+    code = "import curiophys.cli, sys; print('csv' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -298,6 +298,33 @@ def test_parse_rejects_non_numeric_detection_field(field, value):
     assert str(excinfo.value) == f"line 7: {field} must be a finite number, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in NUMBER_FIELDS for _, v in NOT_NUMBERS],
+    ids=[f"{f}-{name}" for f in NUMBER_FIELDS for name, _ in NOT_NUMBERS],
+)
+def test_validate_trace_words_a_bad_number_as_parse_trace_does(field, value):
+    # a trace built in code whose only violation is one number
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
+    det = trace.frames[5][0]
+    if field == "confidence":
+        det = replace(det, confidence=value)
+    else:
+        name, slot = field.rstrip("]").split("[")
+        values = list(getattr(det, name))
+        values[int(slot)] = value
+        det = replace(det, **{name: tuple(values)})
+    frames = trace.frames[:5] + ((det,),) + trace.frames[6:]
+    broken = replace(trace, frames=frames)
+    [violation] = validate_trace(broken)
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(encode_trace(broken))
+    where, _, words = violation.partition(": ")
+    line, _, parsed_words = str(excinfo.value).partition(": ")
+    assert (where, line) == ("frame 5, detection 0", "line 7")
+    assert words == parsed_words
+
+
 def test_parse_rejects_zero_height_without_descriptor():
     def edit(det):
         det["bbox"][3] = 0

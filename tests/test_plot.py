@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,7 +10,7 @@ import pytest
 import curiophys
 from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event
 from curiophys.ingest import write_trace_file
-from curiophys.plot import plot_event, render_event_svg
+from curiophys.plot import _tick_labels, plot_event, render_event_svg, write_track_csv
 from curiophys.tracker import trace_discontinuities
 from curiophys.trace_model import Detection, EventTrace
 from trace_builders import ObjectScript, build_trace, linear_script
@@ -159,3 +161,50 @@ def test_ticks_are_few_distinct_and_inside_the_range(tmp_path):
         assert 1 <= len(ticks) <= 11, (lo, hi, ticks)
         assert all(lo <= t <= hi for t in ticks), (lo, hi, ticks)
         assert ticks == sorted(set(ticks)), (lo, hi, ticks)
+
+
+def _value_axis_labels(svg):
+    """The value-axis tick labels of each panel, x panel first."""
+    panels = svg.split('fill="var(--panel, #fafafa)"')[1:]
+    return [re.findall(r'text-anchor="end" font-size="10">([^<]*)</text>', p) for p in panels]
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        [1000000.0 + f for f in range(4)],  # `:g` reads 1e+06 for each
+        [9999999999999996.0, 9999999999999998.0],  # `:g` reads 1e+16 for both
+    ],
+    ids=["million", "ulps"],
+)
+def test_tick_labels_tell_ticks_apart_far_from_zero(xs):
+    trace = EventTrace(
+        "far",
+        tuple((Detection(ObjectClass.SPHERE, 0.6, (x, 100.0, 4.0, 20.0), (1.0, 0.1)),) for x in xs),
+        None,
+    )
+    for labels in _value_axis_labels(_render(trace)):
+        assert len(labels) >= 2
+        assert len(set(labels)) == len(labels), labels
+
+
+def test_tick_labels_add_digits_only_where_g_repeats():
+    assert _tick_labels([-50.0, 0.0, 50.0, 100.0, 150.0]) == ["-50", "0", "50", "100", "150"]
+    assert _tick_labels([1000012.0, 1000013.0]) == ["1000012", "1000013"]
+
+
+def test_track_csv_rows():
+    frames = [t for t in range(10) if t not in (4, 5)]
+    script = linear_script((50.0, 100.0), (3.0, 0.0), frames)
+    [track] = track_event(build_trace("csv", 10, [script]))
+    buf = io.StringIO()
+    write_track_csv(track, buf)
+    lines = buf.getvalue().strip().splitlines()
+    assert lines[0] == "frame,observed_x,observed_y,predicted_x,predicted_y,residual,present"
+    assert len(lines) == 11
+    row4 = lines[5].split(",")
+    assert row4[0] == "4" and row4[1] == "" and row4[5] == "" and row4[6] == "0"
+    row0 = lines[1].split(",")
+    assert row0[1] == "50.000000" and row0[6] == "1"
+    # coasted frames still carry predictions
+    assert row4[3] != ""

@@ -83,10 +83,10 @@ def test_validate_trace_flags_non_finite_numbers():
     )
     trace = EventTrace("non-finite", (dets,), None)
     assert validate_trace(trace) == [
-        "frame 0, detection 0: confidence nan is not finite",
-        "frame 0, detection 1: bbox x -inf is not finite",
-        "frame 0, detection 1: bbox height nan is not finite",
-        "frame 0, detection 2: shape_descriptor[0] inf is not finite",
+        "frame 0, detection 0: confidence must be a finite number, got nan",
+        "frame 0, detection 1: bbox[0] must be a finite number, got -inf",
+        "frame 0, detection 1: bbox[3] must be a finite number, got nan",
+        "frame 0, detection 2: shape_descriptor[0] must be a finite number, got inf",
     ]
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 
@@ -20,7 +19,6 @@ from curiophys.tracker import (
     _step_pool,
     trace_discontinuities,
     track_discontinuities,
-    write_track_csv,
 )
 
 from trace_builders import ObjectScript, build_trace, linear_script
@@ -339,23 +337,6 @@ def test_tracker_params_validation():
         TrackerParams(assoc_gate=0)
     with pytest.raises(ValueError, match="measurement_noise"):
         TrackerParams(measurement_noise=-1)
-
-
-def test_track_csv_rows():
-    frames = [t for t in range(10) if t not in (4, 5)]
-    script = linear_script((50.0, 100.0), (3.0, 0.0), frames)
-    track = _single_track(build_trace("csv", 10, [script]))
-    buf = io.StringIO()
-    write_track_csv(track, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "frame,observed_x,observed_y,predicted_x,predicted_y,residual,present"
-    assert len(lines) == 11
-    row4 = lines[5].split(",")
-    assert row4[0] == "4" and row4[1] == "" and row4[5] == "" and row4[6] == "0"
-    row0 = lines[1].split(",")
-    assert row0[1] == "50.000000" and row0[6] == "1"
-    # coasted frames still carry predictions
-    assert row4[3] != ""
 
 
 def test_last_and_resolved_class_follow_each_observation():
