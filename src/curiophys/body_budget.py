@@ -111,6 +111,11 @@ def _norm(v: Sequence[float]) -> float:
 def _normalized_distance(
     a: Sequence[float], b: Sequence[float], norm_a: float, norm_b: float
 ) -> float:
+    """||a - b|| / (||a|| + ||b||), in [0, 1] by the triangle inequality,
+    given the norms _norm(a) and _norm(b).
+
+    Two zero vectors are identical, distance 0.
+    """
     if len(a) != len(b):
         raise ValueError(f"descriptor dimensions differ: {len(a)} vs {len(b)}")
     denom = norm_a + norm_b
@@ -136,14 +141,6 @@ def _scaled_distance(a: Sequence[float], b: Sequence[float]) -> float:
     a = [x * scale for x in a]
     b = [y * scale for y in b]
     return math.dist(a, b) / (math.hypot(*a) + math.hypot(*b))
-
-
-def normalized_euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """||a - b|| / (||a|| + ||b||), in [0, 1] by the triangle inequality.
-
-    Two zero vectors are identical, distance 0.
-    """
-    return _normalized_distance(a, b, _norm(a), _norm(b))
 
 
 def score_shape_constancy(track: Track, mode: str = DEFAULT_SC_MODE) -> float:

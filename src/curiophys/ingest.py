@@ -277,10 +277,11 @@ def _next_class(cls: ObjectClass) -> ObjectClass:
 # ---------------------------------------------------------------------------
 
 class _Contract:
-    """Each value rule of a trace past the number rule (_number_violations),
-    written once: validate_trace reports every violation, parse_trace raises
-    the first with its line.  One instance checks one trace; its first
-    non-empty descriptor fixes the length."""
+    """Each value rule of a trace past the bbox shape (_BBOX_SHAPE) and the
+    number rule (_number_violations), written once: validate_trace reports
+    every violation, parse_trace raises the first with its line.  One
+    instance checks one trace; its first non-empty descriptor fixes the
+    length."""
 
     def __init__(self) -> None:
         self.descriptor: Optional[Tuple[int, int]] = None  # (length, frame)
@@ -303,19 +304,15 @@ class _Contract:
             violations.append("class 'unknown' not allowed in detections")
         if not 0.0 <= det.confidence <= 1.0:
             violations.append(f"confidence {det.confidence} outside [0, 1]")
-        bbox = det.bbox
-        if len(bbox) != 4:
-            violations.append(f"bbox has {len(bbox)} entries, expected 4")
-        for name, value in zip(("width", "height"), bbox[2:]):
+        for name, value in zip(("width", "height"), det.bbox[2:]):
             if value <= 0:
                 violations.append(f"bbox {name} must be > 0, got {value}")
-        if len(bbox) == 4:
-            # finite entries near the float limit: x + width/2 overflows
-            cx, cy = det.center
-            if not math.isfinite(cx):
-                violations.append(f"bbox center x {cx} is not finite")
-            if not math.isfinite(cy):
-                violations.append(f"bbox center y {cy} is not finite")
+        # finite entries near the float limit: x + width/2 overflows
+        cx, cy = det.center
+        if not math.isfinite(cx):
+            violations.append(f"bbox center x {cx} is not finite")
+        if not math.isfinite(cy):
+            violations.append(f"bbox center y {cy} is not finite")
         descriptor = det.shape_descriptor
         # a descriptor derived from the box can overflow (area of 1e200 x 1e200)
         for k, value in enumerate(descriptor):
@@ -332,6 +329,10 @@ class _Contract:
                 f"(established at frame {self.descriptor[1]})"
             )
         return violations
+
+
+# The bbox shape rule, checked before the number rule by both callers.
+_BBOX_SHAPE = "bbox must be a 4-element array"
 
 
 def _number_violations(confidence, bbox, descriptor) -> list[str]:
@@ -351,14 +352,18 @@ def _number_violations(confidence, bbox, descriptor) -> list[str]:
 def validate_trace(trace: EventTrace) -> list[str]:
     """Check a trace built in code against the trace contract; return every
     violation, a detection's as `frame F, detection D: …` in parse_trace's
-    words.  A detection that breaks the number rule is reported for its
-    numbers only.  An empty list means the trace is well-formed and
-    parse_trace reads its encoding."""
+    words.  As in parse_trace, a detection's bbox shape is checked first,
+    then the number rule, then the contract, and a detection is reported
+    for the first of these it breaks only.  An empty list means the trace is
+    well-formed and parse_trace reads its encoding."""
     contract = _Contract()
     violations = contract.header(trace.frame_count, trace.ground_truth)
     for frame_index, detections in enumerate(trace.frames):
         for d_idx, det in enumerate(detections):
-            found = _number_violations(det.confidence, det.bbox, det.shape_descriptor)
+            if len(det.bbox) != 4:
+                found = [_BBOX_SHAPE]
+            else:
+                found = _number_violations(det.confidence, det.bbox, det.shape_descriptor)
             # the contract's arithmetic needs numbers, as the parser's does
             for v in found or contract.detection(det, frame_index):
                 violations.append(f"frame {frame_index}, detection {d_idx}: {v}")
@@ -413,7 +418,7 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
     confidence = _require(obj, "confidence", line_no)
     bbox = _require(obj, "bbox", line_no)
     if not (isinstance(bbox, list) and len(bbox) == 4):
-        raise TraceParseError(f"line {line_no}: bbox must be a 4-element array")
+        raise TraceParseError(f"line {line_no}: {_BBOX_SHAPE}")
     descriptor = obj.get("shape_descriptor")
     if descriptor is not None and not isinstance(descriptor, list):
         raise TraceParseError(f"line {line_no}: shape_descriptor must be an array")

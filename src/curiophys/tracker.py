@@ -9,24 +9,35 @@ against occluder geometry.  The filter is a closed-form per-axis Kalman
 filter: with isotropic noise both axes share one 2x2 covariance exactly.
 
 Association is greedy nearest-neighbor over predicted centers and is
-independent of detection order within a frame.  A frame's detections are
-ranked by content (bbox, class, confidence, descriptor); candidate pairs
-are sorted globally by (distance, class mismatch, track id, detection rank)
-before assignment, and new tracks are born in rank order.  Ties between
-detections are thus broken by canonical rank, which orders exactly as
-their content does for the totally ordered (NaN-free) values the parser
-and validate_trace admit.  Candidate pairs are found by sweep and prune
-(the broad phase of I-COLLIDE, Cohen et al. 1995): a pool's detections
-are sorted once by center x, and each track tests the exact distance gate
-only against the detections in an x window twice the gate wide on each
-side, found by bisection.  Sorting allocates nothing per cell, so unlike
-a grid it already pays at twenty objects per frame.  A non-finite center
-or prediction has no candidates.  A pool with no track has no pair, so
-its detections are born in rank order without association.  A pool of
-one track facing one detection has one candidate pair at most, so no
-order or rank can change its outcome: the pair is matched exactly when
-it passes the gate (a class mismatch included), and that test is all
-such a frame costs.
+independent of detection order within a frame.  The in-gate pairs are
+found first, by sweep and prune (the broad phase of I-COLLIDE, Cohen et
+al. 1995): a pool's detections are sorted once by center x, and each track
+tests the exact distance gate only against the detections in an x window
+twice the gate wide on each side, found by bisection.  Sorting allocates
+nothing per cell, so unlike a grid it already pays at twenty objects per
+frame.  A non-finite center or prediction has no candidates.
+
+Greedy needs an order only where pairs compete.  A pool is uncontested
+when no track and no detection is in two in-gate pairs; greedy then takes
+every pair whatever the order, so each pair is observed as found.  Only a
+contested pool ranks its detections by content (bbox, class, confidence,
+descriptor) and sorts its pairs by (distance, class mismatch, track id,
+detection rank) before assignment.  Either way the unmatched detections
+are born in content order, which is total for the NaN-free values the
+parser and validate_trace admit.  A pool with no track has no pair, so
+its detections are born without association.
+
+The single-pair rule is written once, in _match_one: one track facing one
+detection has one candidate pair at most, so no order or rank can change
+its outcome, and the pair is matched exactly when it passes the gate (a
+class mismatch included).  track_event applies it before splitting a
+frame into pools, to a frame of one object detection facing one object
+track and no wall track: every frame after birth of a lone object.
+_step_pool applies it to a pool of one track and one detection, such as
+an object passing a wall.
+
+Track.velocities is not stored per frame: it replays a fresh filter over
+the track's detections, which gives the live filter's floats.
 
 A shape switch needs SHAPE_SWITCH_MIN_RUN consecutive observations of a
 new class, so a single misclassified frame is not a break.
@@ -149,12 +160,12 @@ class Track:
         self.first_frame = first_frame
         self.is_occluder = det.object_class is ObjectClass.WALL
         center = det.center
+        self.params = params
         self.filter = PointFilter(center, params)
         self.detections: list[Optional[Detection]] = [det]
         # at birth the prediction is the detection itself
         self.centers_predicted: list[Tuple[float, float]] = [center]
         self.residuals: list[Optional[float]] = [0.0]
-        self.velocities: list[Tuple[float, float]] = [(0.0, 0.0)]
         self.last_class = det.object_class
         self._class_counts = [0] * len(CLASS_ORDER)
         self._class_counts[CLASS_ORDER.index(det.object_class)] = 1
@@ -167,14 +178,26 @@ class Track:
         self.detections.append(det)
         self.centers_predicted.append(predicted)
         self.residuals.append(residual)
-        self.velocities.append(self.filter.velocity)
         return residual
 
     def coast(self, predicted: Tuple[float, float]) -> None:
         self.detections.append(None)
         self.centers_predicted.append(predicted)
         self.residuals.append(None)
-        self.velocities.append(self.filter.velocity)
+
+    @property
+    def velocities(self) -> list[Tuple[float, float]]:
+        """The filter's velocity after each frame, replayed by a fresh
+        filter over the detections: the same steps on the same numbers give
+        the same floats, so nothing is stored per frame for it."""
+        replay = PointFilter(self.detections[0].center, self.params)
+        out = [replay.velocity]
+        for det in self.detections[1:]:
+            replay.predict()
+            if det is not None:
+                replay.update(det.center)
+            out.append(replay.velocity)
+        return out
 
     # -- frame-indexed access -------------------------------------------------
 
@@ -226,6 +249,27 @@ def _det_key(det: Detection) -> tuple:
     return (det.bbox, class_order_index(det.object_class), det.confidence, det.shape_descriptor)
 
 
+def _match_one(track: Track, det: Detection, gate: float) -> bool:
+    """The single-pair rule: one track facing one detection makes one
+    candidate pair at most, and the greedy order has nothing to rank it
+    against, so the pair is matched exactly when it passes the gate, whatever
+    the classes.  Observes or coasts the track; returns whether it matched."""
+    predicted = px, py = track.filter.predict()
+    cx, cy = det.center
+    if not math.hypot(px - cx, py - cy) <= gate:
+        track.coast(predicted)
+        return False
+    track.observe(det, predicted)
+    return True
+
+
+def _births(dets: list[Detection]) -> list[Detection]:
+    """Unmatched detections in the order they start tracks: by content."""
+    if len(dets) > 1:
+        dets.sort(key=_det_key)
+    return dets
+
+
 def _step_pool(
     pool: list[Track],
     dets: Sequence[Detection],
@@ -234,24 +278,19 @@ def _step_pool(
     """Advance one association pool (objects or walls) by a single frame;
     returns the detections that matched no track and should start new ones.
 
-    With no track there is no pair: every detection is born, in rank order.
-    One track and one detection make one candidate pair, and the greedy
-    order has nothing to rank it against: the pair is matched exactly when
-    it passes the gate, whatever the classes.  That is every frame after
-    birth of a single-object event, so it is answered without building the
-    candidate and pair lists.
+    With no track there is no pair: every detection is born, in content
+    order.  One track facing one detection follows the single-pair rule.
+    Otherwise the in-gate pairs are found first, each naming its detection
+    by its position in the frame.  When no track and no detection is in two
+    pairs the pool is uncontested: greedy takes every pair, so they are all
+    observed and only the births are ranked.  A contested pool ranks every
+    detection by content and runs greedy over the sorted pairs.
     """
     if not pool:
-        return sorted(dets, key=_det_key)
+        return _births(list(dets))
+    gate = params.assoc_gate
     if len(pool) == 1 and len(dets) == 1:
-        track, det = pool[0], dets[0]
-        predicted = px, py = track.filter.predict()
-        cx, cy = det.center
-        if not math.hypot(px - cx, py - cy) <= params.assoc_gate:
-            track.coast(predicted)
-            return [det]
-        track.observe(det, predicted)
-        return []
+        return [] if _match_one(pool[0], dets[0], gate) else [dets[0]]
 
     predictions = [t.filter.predict() for t in pool]
     if not dets:
@@ -259,14 +298,11 @@ def _step_pool(
             track.coast(predicted)
         return []
 
-    gate = params.assoc_gate
-    keys = [_det_key(d) for d in dets]
-    canon = sorted(range(len(dets)), key=keys.__getitem__)
     candidates = []
-    for rank, dj in enumerate(canon):
-        cx, cy = dets[dj].center
+    for dj, det in enumerate(dets):
+        cx, cy = det.center
         if cx == cx:  # a NaN x passes no gate and does not sort
-            candidates.append((cx, cy, dets[dj].object_class, rank, dj))
+            candidates.append((cx, cy, dj))
     candidates.sort(key=itemgetter(0))
     xs = [c[0] for c in candidates]
     # Sweep and prune: a track tests only the candidates whose x lies in
@@ -279,37 +315,55 @@ def _step_pool(
     # 5.5 - 33.3 rounds to -27.799999999999997.
     reach = 2.0 * gate
 
-    # A detection's rank, its position in canon, stands in for its content
-    # key: ranks order as the keys do, and equal keys are equal content.
-    # (track id, rank) is unique, so the sort never compares ti or dj, and
-    # the order in which pairs are found does not matter.
+    # A detection or a track met in a second in-gate pair makes the pool
+    # contested; until then every paired detection is a taken one.
     pairs = []
-    hypot = math.hypot
-    for ti, track in enumerate(pool):
-        px, py = predictions[ti]
-        cls, tid = track.last_class, track.track_id
-        window = candidates[bisect_left(xs, px - reach) : bisect_right(xs, px + reach)]
-        for cx, cy, det_cls, rank, dj in window:
-            dist = hypot(px - cx, py - cy)
-            if not dist <= gate:  # NaN is never a candidate
-                continue
-            pairs.append((dist, 0 if det_cls is cls else 1, tid, rank, ti, dj))
-    pairs.sort()
-
-    track_taken = [False] * len(pool)
     det_taken = [False] * len(dets)
-    for _, _, _, _, ti, dj in pairs:
-        if track_taken[ti] or det_taken[dj]:
-            continue
-        track_taken[ti] = True
-        det_taken[dj] = True
-        pool[ti].observe(dets[dj], predictions[ti])
+    contested = False
+    hypot = math.hypot
+    for ti, (px, py) in enumerate(predictions):
+        found = len(pairs)
+        for cx, cy, dj in candidates[bisect_left(xs, px - reach) : bisect_right(xs, px + reach)]:
+            dist = hypot(px - cx, py - cy)
+            if dist <= gate:  # NaN is never a candidate
+                if det_taken[dj] or len(pairs) > found:
+                    contested = True
+                det_taken[dj] = True
+                pairs.append((dist, ti, dj))
 
+    if contested:
+        # A detection's rank, its position in content order, stands in for
+        # its content key: ranks order as the keys do, and equal keys are
+        # equal content.  (track id, rank) is unique, so the sort never
+        # compares ti or dj.
+        keys = [_det_key(d) for d in dets]
+        rank = [0] * len(dets)
+        for r, dj in enumerate(sorted(range(len(dets)), key=keys.__getitem__)):
+            rank[dj] = r
+        ranked = []
+        for dist, ti, dj in pairs:
+            track = pool[ti]
+            mismatch = 0 if dets[dj].object_class is track.last_class else 1
+            ranked.append((dist, mismatch, track.track_id, rank[dj], ti, dj))
+        ranked.sort()
+        # greedy keeps the pairs whose track and detection are both free
+        pairs = []
+        det_taken = [False] * len(dets)
+        track_taken = [False] * len(pool)
+        for dist, _, _, _, ti, dj in ranked:
+            if not (track_taken[ti] or det_taken[dj]):
+                track_taken[ti] = det_taken[dj] = True
+                pairs.append((dist, ti, dj))
+
+    observed = [False] * len(pool)
+    for _, ti, dj in pairs:
+        observed[ti] = True
+        pool[ti].observe(dets[dj], predictions[ti])
     for ti, track in enumerate(pool):
-        if not track_taken[ti]:
+        if not observed[ti]:
             track.coast(predictions[ti])
 
-    return [dets[dj] for dj in canon if not det_taken[dj]]
+    return _births([det for det, taken in zip(dets, det_taken) if not taken])
 
 
 def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> list[Track]:
@@ -320,11 +374,22 @@ def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> l
     tracks: list[Track] = []
     objects: list[Track] = []
     walls: list[Track] = []
+    gate = params.assoc_gate
+    wall = ObjectClass.WALL
     for frame_index, detections in enumerate(trace.frames):
+        if len(detections) == 1 and len(objects) == 1 and not walls:
+            det = detections[0]
+            if det.object_class is not wall:
+                # the single-pair rule, before the split into pools
+                if not _match_one(objects[0], det, gate):
+                    track = Track(len(tracks), frame_index, det, params)
+                    tracks.append(track)
+                    objects.append(track)
+                continue
         obj_dets: list[Detection] = []
         wall_dets: list[Detection] = []
         for det in detections:
-            (wall_dets if det.object_class is ObjectClass.WALL else obj_dets).append(det)
+            (wall_dets if det.object_class is wall else obj_dets).append(det)
         for pool, dets in ((objects, obj_dets), (walls, wall_dets)):
             if not pool and not dets:
                 continue

@@ -17,9 +17,10 @@ from curiophys import (
 from curiophys.body_budget import (
     IMPACT_SCALE,
     BodyBudgetScores,
+    _norm,
+    _normalized_distance,
     focus_track,
     hypothesis_scores,
-    normalized_euclidean_distance,
     score_shape_constancy,
     score_track,
 )
@@ -83,23 +84,28 @@ def test_spatial_temporal_fraction():
         score_spatial_temporal(_gap_track(5, 5), 0)
 
 
+def _distance(a, b):
+    # the normalized Euclidean distance as score_shape_constancy calls it
+    return _normalized_distance(a, b, _norm(a), _norm(b))
+
+
 def test_normalized_euclidean_distance():
-    assert normalized_euclidean_distance((1.0, 2.0), (1.0, 2.0)) == 0.0
-    assert normalized_euclidean_distance((1.0, 0.0), (-1.0, 0.0)) == pytest.approx(1.0)
-    assert normalized_euclidean_distance((0.0, 0.0), (0.0, 0.0)) == 0.0
+    assert _distance((1.0, 2.0), (1.0, 2.0)) == 0.0
+    assert _distance((1.0, 0.0), (-1.0, 0.0)) == pytest.approx(1.0)
+    assert _distance((0.0, 0.0), (0.0, 0.0)) == 0.0
     with pytest.raises(ValueError, match="dimensions"):
-        normalized_euclidean_distance((1.0,), (1.0, 2.0))
+        _distance((1.0,), (1.0, 2.0))
     # finite entries whose squares overflow: scaled, not an OverflowError
-    assert normalized_euclidean_distance((1e200, 1.0), (-1e200, 1.0)) == 1.0
-    assert normalized_euclidean_distance((1e200, 1.0), (1e200, 1.0)) == 0.0
-    assert normalized_euclidean_distance((0.6e154, 0.6e154), (-0.6e154, -0.6e154)) == 1.0
-    assert normalized_euclidean_distance((1.5e308, 1.0), (-1.5e308, 1.0)) == 1.0
-    assert normalized_euclidean_distance((1.7e308,) * 4, (1.7e308,) * 3 + (-1.7e308,)) == 0.5
+    assert _distance((1e200, 1.0), (-1e200, 1.0)) == 1.0
+    assert _distance((1e200, 1.0), (1e200, 1.0)) == 0.0
+    assert _distance((0.6e154, 0.6e154), (-0.6e154, -0.6e154)) == 1.0
+    assert _distance((1.5e308, 1.0), (-1.5e308, 1.0)) == 1.0
+    assert _distance((1.7e308,) * 4, (1.7e308,) * 3 + (-1.7e308,)) == 0.5
     rng = random.Random(5)
     for _ in range(200):
         a = tuple(rng.uniform(-10, 10) for _ in range(3))
         b = tuple(rng.uniform(-10, 10) for _ in range(3))
-        assert 0.0 <= normalized_euclidean_distance(a, b) <= 1.0
+        assert 0.0 <= _distance(a, b) <= 1.0
 
 
 def test_shape_constancy_identical_descriptors():

@@ -298,17 +298,24 @@ def test_parse_rejects_non_numeric_detection_field(field, value):
     assert str(excinfo.value) == f"line 7: {field} must be a finite number, got {value!r}"
 
 
+# bboxes of the wrong length, which both callers word as the parser does
+BBOX_SHAPES = [("bbox", (40.0, 50.0, 24.0)), ("bbox", (40.0, 50.0, 24.0, 24.0, 1.0))]
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [(f, v) for f in NUMBER_FIELDS for _, v in NOT_NUMBERS],
-    ids=[f"{f}-{name}" for f in NUMBER_FIELDS for name, _ in NOT_NUMBERS],
+    [(f, v) for f in NUMBER_FIELDS for _, v in NOT_NUMBERS] + BBOX_SHAPES,
+    ids=[f"{f}-{name}" for f in NUMBER_FIELDS for name, _ in NOT_NUMBERS]
+    + ["bbox-3-entries", "bbox-5-entries"],
 )
 def test_validate_trace_words_a_bad_number_as_parse_trace_does(field, value):
-    # a trace built in code whose only violation is one number
+    # a trace built in code whose only violation is one number or its bbox's length
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
     det = trace.frames[5][0]
     if field == "confidence":
         det = replace(det, confidence=value)
+    elif field == "bbox":
+        det = replace(det, bbox=value)
     else:
         name, slot = field.rstrip("]").split("[")
         values = list(getattr(det, name))

@@ -103,7 +103,7 @@ def test_validate_trace_flags_an_overflowing_center_and_a_short_bbox():
     assert validate_trace(trace) == [
         "frame 0, detection 0: bbox center x inf is not finite",
         "frame 0, detection 1: bbox center y inf is not finite",
-        "frame 0, detection 3: bbox has 3 entries, expected 4",
+        "frame 0, detection 3: bbox must be a 4-element array",
     ]
 
 

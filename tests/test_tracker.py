@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event
+from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event, tracker
 from curiophys.ingest import scripted_violation_frame
 from curiophys.trace_model import Detection, EventTrace, class_order_index
 from curiophys.tracker import (
@@ -533,6 +533,149 @@ def test_generated_events_track_as_the_reference_does(kind):
             assert _track_summary(track_event(trace, params)) == _track_summary(
                 _reference_track_event(trace, params)
             ), (kind, noise, seed)
+
+
+def _two_tracks_one_detection():
+    near, far, det = _unit_box((100.0, 100.0)), _unit_box((130.0, 100.0)), _unit_box((112.0, 100.0))
+    # det is 12 px from the first track's prediction and 18 px from the second's
+    return ((near, far), (det,)), [(0, [near, det]), (0, [far, None])]
+
+
+def _one_track_two_detections():
+    start, far, near = _unit_box((100.0, 100.0)), _unit_box((120.0, 100.0)), _unit_box((90.0, 100.0))
+    # both inside the gate; the nearer one is listed second
+    return ((start,), (far, near)), [(0, [start, near]), (1, [far])]
+
+
+def _distance_tie(left_first):
+    start, left, right = _unit_box((100.0, 100.0)), _unit_box((97.0, 100.0)), _unit_box((103.0, 100.0))
+    second = (left, right) if left_first else (right, left)
+    # 3 px either side: the smaller content (bbox x) is matched
+    return ((start,), second), [(0, [start, left]), (1, [right])]
+
+
+def _object_and_wall_born_together():
+    wall = _unit_box((300.0, 180.0), ObjectClass.WALL)
+    obj, moved = _unit_box((100.0, 100.0)), _unit_box((103.0, 100.0))
+    # the wall is listed first, yet the object pool's births come first
+    return ((wall, obj), (wall, moved)), [(0, [obj, moved]), (0, [wall, wall])]
+
+
+def _single_object_at_the_gate(beyond):
+    first = _unit_box((96.0, 20.0))
+    second = _unit_box((math.nextafter(146.0, math.inf) if beyond else 146.0, 20.0))
+    expected = [(0, [first, None]), (1, [second])] if beyond else [(0, [first, second])]
+    return ((first,), (second,)), expected
+
+
+def _single_object_behind_a_wall():
+    wall = _unit_box((200.0, 100.0), ObjectClass.WALL)
+    path = [_unit_box((150.0 + 5.0 * t, 100.0)) if not 8 <= t <= 12 else None for t in range(20)]
+    frames = tuple((det, wall) if det is not None else (wall,) for det in path)
+    return frames, [(0, path), (0, [wall] * 20)]
+
+
+def _single_object_with_a_missed_wall():
+    wall, obj = _unit_box((300.0, 180.0), ObjectClass.WALL), _unit_box((100.0, 100.0))
+    # the frame without the wall must still coast the wall's track
+    return ((obj, wall), (obj,), (obj, wall)), [(0, [obj] * 3), (0, [wall, None, wall])]
+
+
+def _wall_alone_after_an_object():
+    obj, wall = _unit_box((100.0, 100.0)), _unit_box((110.0, 100.0), ObjectClass.WALL)
+    # one detection facing one object track, but a wall: never the object's
+    return ((obj,), (wall,)), [(0, [obj, None]), (1, [wall])]
+
+
+# frames of one event, and each track's (first frame, detections) in id order
+ASSOCIATION_CASES = {
+    "two-tracks-one-detection": _two_tracks_one_detection(),
+    "one-track-two-detections": _one_track_two_detections(),
+    "distance-tie-left-first": _distance_tie(True),
+    "distance-tie-right-first": _distance_tie(False),
+    "object-and-wall-born-together": _object_and_wall_born_together(),
+    "single-object-at-the-gate": _single_object_at_the_gate(False),
+    "single-object-beyond-the-gate": _single_object_at_the_gate(True),
+    "single-object-behind-a-wall": _single_object_behind_a_wall(),
+    "single-object-with-a-missed-wall": _single_object_with_a_missed_wall(),
+    "wall-alone-after-an-object": _wall_alone_after_an_object(),
+}
+
+
+@pytest.mark.parametrize("case", ASSOCIATION_CASES)
+def test_association_cases_match_the_reference(case):
+    frames, expected = ASSOCIATION_CASES[case]
+    trace, params = EventTrace(case, frames, None), TrackerParams()
+    tracks = track_event(trace, params)
+    assert [(t.first_frame, t.detections) for t in tracks] == expected
+    assert _track_summary(tracks) == _track_summary(_reference_track_event(trace, params))
+
+
+def test_uncontested_pools_rank_only_births(monkeypatch):
+    # a 3 x 3 grid moving in step, 128 x 90 px apart against the 50 px gate:
+    # no track and no detection is ever in two in-gate pairs
+    frames = tuple(
+        tuple(
+            _unit_box((64.0 + 128.0 * c + 1.5 * t, 45.0 + 90.0 * r + 0.3 * t))
+            for c in (2, 0, 1)
+            for r in (1, 2, 0)
+        )
+        for t in range(6)
+    )
+    keyed = []
+
+    def counted(det, _key=tracker._det_key):
+        keyed.append(det)
+        return _key(det)
+
+    monkeypatch.setattr(tracker, "_det_key", counted)
+    trace, params = EventTrace("grid", frames, None), TrackerParams()
+    tracks = track_event(trace, params)
+    monkeypatch.undo()
+    assert sorted(map(id, keyed)) == sorted(map(id, frames[0]))
+    assert [t.detected_frames for t in tracks] == [6] * 9
+    assert _track_summary(tracks) == _track_summary(_reference_track_event(trace, params))
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_filter_steps_once_per_frame_after_birth(monkeypatch, kind):
+    trace = generate_event(build_spec(kind))
+    calls = {"predict": [], "update": []}
+    for name in calls:
+
+        def counted(self, *args, _method=getattr(PointFilter, name), _calls=calls[name]):
+            _calls.append(self)
+            return _method(self, *args)
+
+        monkeypatch.setattr(PointFilter, name, counted)
+    tracks = track_event(trace)
+    monkeypatch.undo()
+    objects = [t for t in tracks if not t.is_occluder]
+    assert len(objects) == 1
+    for t in tracks:
+        assert sum(f is t.filter for f in calls["predict"]) == len(t.detections) - 1
+        assert sum(f is t.filter for f in calls["update"]) == t.detected_frames - 1
+    assert len(calls["predict"]) == sum(len(t.detections) - 1 for t in tracks)
+    assert len(calls["update"]) == sum(t.detected_frames - 1 for t in tracks)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_velocities_replay_the_live_filter(kind):
+    for noise in (0.0, 2.0):
+        trace = generate_event(build_spec(kind, noise_sigma=noise))
+        objects = [[d for d in frame if d.object_class is not ObjectClass.WALL] for frame in trace.frames]
+        track = Track(0, 0, objects[0][0], TrackerParams())
+        live = [track.filter.velocity]
+        for dets in objects[1:]:
+            predicted = track.filter.predict()
+            if dets:
+                track.observe(dets[0], predicted)
+            else:
+                track.coast(predicted)
+            live.append(track.filter.velocity)
+        assert track.velocities == live, (kind, noise)
+        for t in track_event(trace):
+            assert t.velocities[-1] == t.filter.velocity
 
 
 def test_non_finite_positions_get_no_candidates():
