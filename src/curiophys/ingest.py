@@ -1,6 +1,7 @@
 """Trace file I/O, the trace contract, and deterministic synthetic event generation.
 
-Trace file format (UTF-8, line-delimited JSON):
+Trace file format (UTF-8, line-delimited JSON; a line ends at "\n" only,
+and a CRLF file's "\r" is JSON whitespace):
   line 1     header {"event_id", "frame_count", "ground_truth"?}
   lines 2..  one frame per line {"frame_index", "detections": [...]};
              frame_index counts from 0 and equals the frame's position
@@ -9,6 +10,12 @@ Each detection is {"class", "confidence", "bbox": [x, y, w, h],
 "shape_descriptor"?}.  Unknown fields are ignored on read and never
 written, so any upstream detector can append metadata without breaking
 consumers.
+
+parse_trace accepts a plainly well-formed detection through one cheap
+gate, and only a detection the gate refuses goes through the full rules,
+which word any violation.  The gate accepts only what the full rules
+accept and builds the same Detection, so the accepted files and every
+message are those of the full rules alone.
 
 The generator scripts five event kinds over a fixed 640x360 scene so the
 whole pipeline can be exercised without a neural detector.  Generation is
@@ -286,6 +293,11 @@ class _Contract:
     def __init__(self) -> None:
         self.descriptor: Optional[Tuple[int, int]] = None  # (length, frame)
 
+    @property
+    def length(self) -> Optional[int]:
+        """The descriptor length this trace has fixed, if any."""
+        return self.descriptor[0] if self.descriptor else None
+
     @staticmethod
     def header(frame_count: int, ground_truth: Optional[GroundTruth]) -> list[str]:
         violations = []
@@ -430,6 +442,66 @@ def _parse_detection(obj: dict, line_no: int, scene: SceneBounds) -> Detection:
     return Detection.build(cls, float(confidence), tuple(map(float, bbox)), descriptor, scene=scene)
 
 
+# The classes a detection may name, spelled exactly as encode_trace writes
+# them; "unknown" breaks the contract.
+_DETECTION_CLASSES = {c.value: c for c in ObjectClass if c is not ObjectClass.UNKNOWN}
+_INF = math.inf
+
+
+def _accept_detection(obj, length: Optional[int], area: float) -> Optional[Detection]:
+    """The gate: the Detection a plainly well-formed detection record
+    decodes to, or None.  It accepts only what _parse_detection and
+    _Contract.detection accept and builds an equal Detection, so None just
+    sends the record down that full path, which words any violation.
+
+    length is the descriptor length the trace has fixed (None before its
+    first descriptor) and area the scene's.  Exact types and chained
+    comparisons do the checking; NaN fails every comparison.  Anything
+    unusual is left to the full path: an int or a capitalised class name
+    (accepted there), the first descriptor of a trace (fixed there).
+    """
+    if type(obj) is not dict:
+        return None
+    name = obj.get("class")
+    cls = _DETECTION_CLASSES.get(name) if type(name) is str else None
+    confidence = obj.get("confidence")
+    bbox = obj.get("bbox")
+    if not (
+        cls is not None
+        and type(confidence) is float
+        and 0.0 <= confidence <= 1.0
+        and type(bbox) is list
+        and len(bbox) == 4
+    ):
+        return None
+    x, y, w, h = bbox
+    # a finite center x + w/2 needs a finite x and w (and so for y)
+    if not (
+        type(x) is float
+        and type(y) is float
+        and type(w) is float
+        and type(h) is float
+        and 0.0 < w
+        and 0.0 < h
+        and -_INF < x + w / 2.0 < _INF
+        and -_INF < y + h / 2.0 < _INF
+    ):
+        return None
+    descriptor = obj.get("shape_descriptor")
+    if descriptor is None:
+        # Detection.build's derived descriptor, which overflows for extreme boxes
+        aspect, share = w / h, (w * h) / area
+        if not (length == 2 and -_INF < aspect < _INF and -_INF < share < _INF):
+            return None
+        return Detection(cls, confidence, (x, y, w, h), (aspect, share))
+    if type(descriptor) is not list or len(descriptor) != length:
+        return None
+    for value in descriptor:
+        if not (type(value) is float and -_INF < value < _INF):
+            return None
+    return Detection(cls, confidence, (x, y, w, h), tuple(descriptor))
+
+
 def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
@@ -446,11 +518,15 @@ def parse_trace(
     """Parse one trace; the result always passes validate_trace cleanly.
 
     Raises TraceParseError `line N: …` at the first malformed record or
-    contract violation (`line N: detection D: …` for a detection's)."""
+    contract violation (`line N: detection D: …` for a detection's).  Within
+    a line every malformed detection record is named before any contract
+    violation.  A line ends at "\n" alone."""
     data = source if isinstance(source, (bytes, str)) else source.read()
     text = _decode(data) if isinstance(data, bytes) else data
 
-    lines = [line for line in text.splitlines()]
+    # a line ends at "\n" alone, as _decode counts; json.loads takes a CRLF
+    # file's "\r" as whitespace
+    lines = text.split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
@@ -497,6 +573,7 @@ def parse_trace(
     if violations:
         raise TraceParseError(f"line 1: {violations[0]}")
 
+    area = scene.area
     frames = []
     for line_no in range(2, len(lines) + 1):
         record = load_line(line_no)
@@ -511,12 +588,25 @@ def parse_trace(
         dets = record.get("detections", [])
         if not isinstance(dets, list):
             raise TraceParseError(f"line {line_no}: detections must be an array")
-        frame = tuple(_parse_detection(d, line_no, scene) for d in dets)
-        for d_idx, det in enumerate(frame):
-            violations = contract.detection(det, frame_index)
-            if violations:
-                raise TraceParseError(f"line {line_no}: detection {d_idx}: {violations[0]}")
-        frames.append(frame)
+        # A record the gate refuses takes the full path.  There a malformed
+        # record raises at once, but a contract violation waits for the end
+        # of the line, so that a later record's malformation is named first.
+        length = contract.length
+        frame = []
+        violation = None
+        for d_idx, obj in enumerate(dets):
+            det = _accept_detection(obj, length, area)
+            if det is None:
+                det = _parse_detection(obj, line_no, scene)
+                if violation is None:
+                    violations = contract.detection(det, frame_index)
+                    if violations:
+                        violation = f"line {line_no}: detection {d_idx}: {violations[0]}"
+                    length = contract.length
+            frame.append(det)
+        if violation is not None:
+            raise TraceParseError(violation)
+        frames.append(tuple(frame))
 
     if frame_count != len(frames):
         raise TraceParseError(

@@ -170,8 +170,11 @@ class Track:
         self._class_counts = [0] * len(CLASS_ORDER)
         self._class_counts[CLASS_ORDER.index(det.object_class)] = 1
 
-    def observe(self, det: Detection, predicted: Tuple[float, float]) -> float:
-        residual = self.filter.update(det.center)
+    def observe(
+        self, det: Detection, predicted: Tuple[float, float], center: Tuple[float, float]
+    ) -> float:
+        """Fold in det, whose center the caller has already computed."""
+        residual = self.filter.update(center)
         cls = det.object_class
         self.last_class = cls
         self._class_counts[CLASS_ORDER.index(cls)] += 1
@@ -255,11 +258,11 @@ def _match_one(track: Track, det: Detection, gate: float) -> bool:
     against, so the pair is matched exactly when it passes the gate, whatever
     the classes.  Observes or coasts the track; returns whether it matched."""
     predicted = px, py = track.filter.predict()
-    cx, cy = det.center
+    center = cx, cy = det.center
     if not math.hypot(px - cx, py - cy) <= gate:
         track.coast(predicted)
         return False
-    track.observe(det, predicted)
+    track.observe(det, predicted, center)
     return True
 
 
@@ -298,9 +301,9 @@ def _step_pool(
             track.coast(predicted)
         return []
 
+    centers = [det.center for det in dets]
     candidates = []
-    for dj, det in enumerate(dets):
-        cx, cy = det.center
+    for dj, (cx, cy) in enumerate(centers):
         if cx == cx:  # a NaN x passes no gate and does not sort
             candidates.append((cx, cy, dj))
     candidates.sort(key=itemgetter(0))
@@ -358,7 +361,7 @@ def _step_pool(
     observed = [False] * len(pool)
     for _, ti, dj in pairs:
         observed[ti] = True
-        pool[ti].observe(dets[dj], predictions[ti])
+        pool[ti].observe(dets[dj], predictions[ti], centers[dj])
     for ti, track in enumerate(pool):
         if not observed[ti]:
             track.coast(predictions[ti])

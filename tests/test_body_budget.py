@@ -294,7 +294,7 @@ def test_scores_match_the_per_pair_form():
         for det in detections[1:]:
             for _ in range(draw(st.integers(0, 2))):
                 track.coast(track.filter.predict())
-            track.observe(det, track.filter.predict())
+            track.observe(det, track.filter.predict(), det.center)
         n = track.first_frame + len(track.detections) + draw(st.integers(0, 5))
         impacts = draw(st.lists(st.floats(0.01, 5000.0), min_size=3, max_size=3))
         impact_values = dict(zip(SCOREABLE_CLASSES, impacts))
@@ -323,6 +323,6 @@ def test_a_repeated_non_finite_descriptor_is_not_scored_as_unchanged(descriptor)
     det = Detection(ObjectClass.SPHERE, 0.6, (10.0, 10.0, 4.0, 4.0), descriptor)
     track = Track(0, 0, det, TrackerParams())
     for _ in range(2):
-        track.observe(det, track.filter.predict())
+        track.observe(det, track.filter.predict(), det.center)
     expected = _reference_scores(track, 3, SPHERE10, WeightConfig(), "descriptor").s_sc
     assert score_shape_constancy(track) == expected == 0.0

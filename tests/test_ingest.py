@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from curiophys import ObjectClass, ScenarioKind, build_spec, encode_trace, generate_event, parse_trace
+from curiophys import ingest
 from curiophys.ingest import (
     Rect,
     ScenarioError,
@@ -18,7 +19,7 @@ from curiophys.ingest import (
     validate_trace,
     write_trace_file,
 )
-from curiophys.trace_model import Detection, EventTrace, GroundTruth
+from curiophys.trace_model import DEFAULT_SCENE, Detection, EventTrace, GroundTruth, SceneBounds
 
 ALL_KINDS = list(ScenarioKind)
 CLASSES = (ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE)
@@ -408,6 +409,27 @@ def test_parse_names_the_line_and_detection_of_each_contract_violation(case):
     assert str(excinfo.value) == f"{where}: {rule}"
 
 
+_GOOD = {"class": "sphere", "confidence": 0.6, "bbox": [100.0, 50.0, 24.0, 24.0], "shape_descriptor": [1.0, 0.5]}
+_OVERCONFIDENT = {**_GOOD, "confidence": 1.5}
+_NO_BOX = {"class": "sphere", "confidence": 0.6}
+
+# a line's malformed records are named before any contract violation on it
+LINE_ORDER = {
+    "violation-then-malformed": ([_OVERCONFIDENT, _NO_BOX], "line 7: missing required field 'bbox'"),
+    "malformed-then-violation": ([_NO_BOX, _OVERCONFIDENT], "line 7: missing required field 'bbox'"),
+    "violation-between-good": ([_GOOD, _OVERCONFIDENT, _GOOD], "line 7: detection 1: confidence 1.5 outside [0, 1]"),
+    "two-violations": ([_OVERCONFIDENT, {**_GOOD, "class": "unknown"}], "line 7: detection 0: confidence 1.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", LINE_ORDER)
+def test_parse_names_a_line_s_first_malformed_record_before_its_violations(case):
+    detections, message = LINE_ORDER[case]
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace(_doctored(6, ("detections",), detections))
+    assert str(excinfo.value) == message
+
+
 def test_parse_ignores_unknown_fields_and_never_writes_them():
     trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=12))
     lines = encode_trace(trace).splitlines()
@@ -577,3 +599,205 @@ def test_validate_trace_agrees_with_parse_trace():
         assert str(excinfo.value).startswith(f"line {line}: ")
 
     check()
+
+
+def test_lines_end_at_newline_only():
+    # U+2028 is a line boundary to str.splitlines but plain text to JSON
+    header = json.dumps({"event_id": "a\u2028b", "frame_count": 1}, ensure_ascii=False)
+    assert "\u2028" in header
+    trace = parse_trace(header + '\n{"frame_index": 0, "detections": []}\n')
+    assert trace.event_id == "a\u2028b"
+    # a form feed is not JSON whitespace, so it is extra data on its own line
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace('{"event_id": "e", "frame_count": 1}\n{"frame_index": 0}\x0c\n')
+    assert str(excinfo.value) == "line 2: invalid JSON (Extra data)"
+
+
+def test_crlf_files_parse_and_name_their_lines():
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_OCCLUDED, frame_count=12))
+    text = encode_trace(trace).replace("\n", "\r\n")
+    assert parse_trace(text) == trace
+    assert parse_trace(text.encode("utf-8")) == trace
+    lines = text.split("\r\n")
+    lines[3] = lines[3].replace('"frame_index": 2', '"frame_index": 7')
+    with pytest.raises(TraceParseError) as excinfo:
+        parse_trace("\r\n".join(lines))
+    assert str(excinfo.value) == "line 4: frame_index expected 2, found 7 (frames must be consecutive from 0)"
+
+
+def _full_path(obj, length, scene=DEFAULT_SCENE):
+    """What the full rules make of one detection record, in a trace whose
+    descriptor length is `length`: (Detection, None) or (None, message)."""
+    contract = ingest._Contract()
+    if length is not None:
+        contract.descriptor = (length, 0)
+    try:
+        det = ingest._parse_detection(obj, 2, scene)
+    except TraceParseError as exc:
+        return None, str(exc).partition(": ")[2]
+    violations = contract.detection(det, 1)
+    return (None, violations[0]) if violations else (det, None)
+
+
+def _check_gate(obj, length, scene=DEFAULT_SCENE):
+    """The gate's verdict on obj, checked against the full rules: it
+    accepts only what they accept, and builds the same Detection."""
+    det = ingest._accept_detection(obj, length, scene.area)
+    full, message = _full_path(obj, length, scene)
+    if det is not None:
+        assert message is None
+        # repr tells -0.0 from 0.0, which == does not
+        assert det == full and repr(det) == repr(full)
+    return det, full, message
+
+
+_BOX = {"class": "sphere", "confidence": 0.6, "bbox": [100.0, 50.0, 24.0, 24.0]}
+
+# (record edits, descriptor length of the trace, gate accepts, full-rule message)
+GATE_BOUNDARIES = {
+    "confidence-0": ({"confidence": 0.0}, 2, True, None),
+    "confidence-1": ({"confidence": 1.0}, 2, True, None),
+    "confidence-below-0": ({"confidence": -5e-324}, 2, False, "confidence -5e-324 outside [0, 1]"),
+    "confidence-above-1": ({"confidence": math.nextafter(1.0, 2.0)}, 2, False, "confidence 1.0000000000000002 outside [0, 1]"),
+    "width-negative-zero": ({"bbox": [100.0, 50.0, -0.0, 24.0]}, 2, False, "bbox width must be > 0, got -0.0"),
+    "width-subnormal": ({"bbox": [100.0, 50.0, 5e-324, 24.0]}, 2, True, None),
+    # a descriptor of its own, so that the derived one cannot overflow
+    "center-x-overflow": (
+        {"bbox": [1.7e308, 50.0, 1e308, 24.0], "shape_descriptor": [1.0, 0.5]}, 2, False, "bbox center x inf is not finite"
+    ),
+    "center-y-overflow": (
+        {"bbox": [100.0, 1.7e308, 24.0, 1e308], "shape_descriptor": [1.0, 0.5]}, 2, False, "bbox center y inf is not finite"
+    ),
+    "area-overflow": ({"bbox": [0.0, 0.0, 1e200, 1e200]}, 2, False, "shape_descriptor[1] inf is not finite"),
+    "aspect-overflow": ({"bbox": [0.0, 0.0, 1e300, 1e-10]}, 2, False, "shape_descriptor[0] inf is not finite"),
+    "confidence-true": ({"confidence": True}, 2, False, "confidence must be a finite number, got True"),
+    "confidence-int": ({"confidence": 1}, 2, False, None),
+    "bbox-int": ({"bbox": [100, 50.0, 24.0, 24.0]}, 2, False, None),
+    "bbox-true": ({"bbox": [100.0, True, 24.0, 24.0]}, 2, False, "bbox[1] must be a finite number, got True"),
+    "class-capitalised": ({"class": "Sphere"}, 2, False, None),
+    "class-unknown": ({"class": "unknown"}, 2, False, "class 'unknown' not allowed in detections"),
+    "descriptor-null": ({"shape_descriptor": None}, 2, True, None),
+    "descriptor-derived-wrong-length": ({}, 3, False, "shape_descriptor dimension 2 != 3 (established at frame 0)"),
+    "descriptor-floats": ({"shape_descriptor": [1.0, 0.5]}, 2, True, None),
+    "descriptor-inf": ({"shape_descriptor": [math.inf, 0.5]}, 2, False, "shape_descriptor[0] must be a finite number, got inf"),
+    "descriptor-int": ({"shape_descriptor": [1, 0.5]}, 2, False, None),
+    "descriptor-wrong-length": ({"shape_descriptor": [1.0, 0.5, 0.25]}, 2, False, "shape_descriptor dimension 3 != 2 (established at frame 0)"),
+    "descriptor-first": ({"shape_descriptor": [1.0, 0.5]}, None, False, None),
+    "derived-first": ({}, None, False, None),
+}
+
+
+@pytest.mark.parametrize("case", GATE_BOUNDARIES)
+def test_the_gate_at_each_boundary(case):
+    edits, length, accepted, message = GATE_BOUNDARIES[case]
+    det, _, full_message = _check_gate({**_BOX, **edits}, length)
+    assert (det is not None, full_message) == (accepted, message)
+
+
+def test_the_gate_accepts_only_what_the_full_rules_accept():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    edge = st.sampled_from(
+        [0.0, -0.0, 1.0, math.nextafter(1.0, 2.0), -5e-324, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308]
+        + [math.inf, -math.inf, math.nan, 0, 1, True, False]
+    )
+    anything = (
+        st.floats() | edge | st.integers(-2, 2) | st.integers(-(10**400), 10**400)
+        | st.booleans() | st.none() | st.text(max_size=2)
+    )
+    fields = {
+        "class": (
+            st.sampled_from(["sphere", "cone", "cube", "wall"]),
+            st.sampled_from(["Sphere", "WALL", "unknown", "blob", ""]) | anything | st.lists(st.just("cube"), max_size=1),
+        ),
+        # plausible values are now and then an edge value
+        "confidence": (st.floats(0.0, 1.0) | edge, anything),
+        "bbox": (
+            st.tuples(*[st.floats(-1e4, 1e4) | edge] * 2, *[st.floats(1e-3, 1e4) | edge] * 2).map(list),
+            st.lists(anything, min_size=4, max_size=4) | st.lists(anything, max_size=5) | anything,
+        ),
+        "shape_descriptor": (
+            st.none() | st.lists(st.floats(-1e6, 1e6) | edge, min_size=1, max_size=3),
+            st.lists(anything, max_size=3) | anything,
+        ),
+    }
+
+    @st.composite
+    def records(draw):
+        if draw(st.integers(0, 19)) == 0:
+            return draw(anything | st.lists(anything, max_size=2))
+        record = {}
+        for name, (plausible, odd) in fields.items():
+            choice = draw(st.integers(0, 9))
+            if choice < 8:
+                record[name] = draw(plausible)
+            elif choice == 8:
+                record[name] = draw(odd)
+        return record
+
+    accepted = []
+
+    # the tiny scene makes the derived descriptor's w*h/area overflow
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(records(), st.sampled_from([None, 1, 2, 3]), st.sampled_from([DEFAULT_SCENE, SceneBounds(1e-150, 1e-150)]))
+    def check(obj, length, scene):
+        det, _, _ = _check_gate(obj, length, scene)
+        accepted.append(det is not None)
+
+    check()
+    # both outcomes were exercised
+    assert any(accepted) and not all(accepted)
+
+
+def _crowded_scene(frames: int = 8) -> EventTrace:
+    # 20 objects 128 x 60 px apart moving in step, and 4 walls
+    classes = (ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE)
+    walls = tuple(
+        Detection.build(ObjectClass.WALL, 0.9, (20.0 + 160.0 * k, 300.0, 40.0, 50.0)) for k in range(4)
+    )
+    return EventTrace(
+        "crowd",
+        tuple(
+            tuple(
+                Detection.build(
+                    classes[(r + c) % 3], 0.7, (52.0 + 128.0 * c + 1.5 * t, 33.0 + 60.0 * r + 0.25 * t, 24.0, 24.0)
+                )
+                for r in range(4)
+                for c in range(5)
+            )
+            + walls
+            for t in range(frames)
+        ),
+    )
+
+
+def test_the_full_rules_run_only_for_the_first_descriptor(monkeypatch):
+    # no timing: count the calls of the full rules while parsing well-formed
+    # traces; only the detection that fixes the descriptor length needs them
+    traces = [
+        generate_event(build_spec(kind, seed=7, noise_sigma=sigma)) for kind in ALL_KINDS for sigma in (0.0, 2.0)
+    ]
+    texts = [encode_trace(t) for t in traces]
+    crowd = _crowded_scene()
+    traces.append(crowd)
+    texts.append(encode_trace(crowd))
+    # the same scene without descriptors, which parse_trace derives from the box
+    lines = encode_trace(crowd).splitlines()
+    frames = [json.loads(line) for line in lines[1:]]
+    for frame in frames:
+        for det in frame["detections"]:
+            del det["shape_descriptor"]
+    traces.append(crowd)
+    texts.append("\n".join(lines[:1] + [json.dumps(f) for f in frames]) + "\n")
+
+    calls = []
+    number_violations = ingest._number_violations
+    contract_detection = ingest._Contract.detection
+    monkeypatch.setattr(ingest, "_number_violations", lambda *a: calls.append("number") or number_violations(*a))
+    monkeypatch.setattr(
+        ingest._Contract, "detection", lambda *a: calls.append("contract") or contract_detection(*a)
+    )
+    for trace, text in zip(traces, texts):
+        calls.clear()
+        assert parse_trace(text) == trace
+        assert calls == ["number", "contract"], trace.event_id

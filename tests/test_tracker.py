@@ -359,7 +359,8 @@ def test_last_and_resolved_class_follow_each_observation():
         if cls is None:
             track.coast(predicted)
         else:
-            track.observe(det(cls), predicted)
+            d = det(cls)
+            track.observe(d, predicted, d.center)
         assert (track.last_class, track.resolved_class) == (last, resolved)
 
 
@@ -393,7 +394,7 @@ def _reference_step_pool(pool, dets, params):
             continue
         track_taken[ti] = True
         det_taken[dj] = True
-        pool[ti].observe(dets[dj], predictions[ti])
+        pool[ti].observe(dets[dj], predictions[ti], dets[dj].center)
 
     for ti, track in enumerate(pool):
         if not track_taken[ti]:
@@ -669,7 +670,7 @@ def test_velocities_replay_the_live_filter(kind):
         for dets in objects[1:]:
             predicted = track.filter.predict()
             if dets:
-                track.observe(dets[0], predicted)
+                track.observe(dets[0], predicted, dets[0].center)
             else:
                 track.coast(predicted)
             live.append(track.filter.velocity)
@@ -923,7 +924,8 @@ def test_discontinuities_match_the_all_scans_reference():
             for _ in range(draw(gaps)):
                 track.coast(track.filter.predict())
             x += draw(st.sampled_from([3.0, 3.0, 3.0, 200.0]))  # now and then a jump
-            track.observe(_unit_box((x, 100.0), cls), track.filter.predict())
+            box = _unit_box((x, 100.0), cls)
+            track.observe(box, track.filter.predict(), box.center)
         for _ in range(draw(gaps)):
             track.coast(track.filter.predict())
         return track
