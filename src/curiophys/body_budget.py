@@ -159,9 +159,8 @@ def score_shape_constancy(track: Track, mode: str = DEFAULT_SC_MODE) -> float:
     _reject_occluder(track)
     if mode not in SC_MODES:
         raise ValueError(f"unknown shape-constancy mode {mode!r}; expected one of {SC_MODES}")
+    # a track is born from a detection, so dets is never empty
     dets = [det for det in track.detections if det is not None]
-    if not dets:
-        raise ValueError(f"track {track.track_id} has no detections to score")
     if mode == "confidence":
         return min(1.0, max(0.0, sum(d.confidence for d in dets) / len(dets)))
     if len(dets) == 1:

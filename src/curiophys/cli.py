@@ -109,13 +109,17 @@ def _fresh_kb(config: RunConfig) -> KnowledgeBase:
     return KnowledgeBase(config.promotion_threshold or DEFAULT_PROMOTION_THRESHOLD)
 
 
+def _load_kb(path: str) -> KnowledgeBase:
+    try:
+        return load_kb_file(path)
+    except (KnowledgeLoadError, OSError) as exc:
+        raise CliError(str(exc)) from None
+
+
 def _load_or_fresh_kb(config: RunConfig) -> Tuple[KnowledgeBase, str]:
     path = _kb_path(config)
     if os.path.exists(path):
-        try:
-            kb = load_kb_file(path)
-        except (KnowledgeLoadError, OSError) as exc:
-            raise CliError(str(exc)) from None
+        kb = _load_kb(path)
         if config.promotion_threshold is not None:
             kb.set_promotion_threshold(config.promotion_threshold)
     else:
@@ -220,10 +224,7 @@ def cmd_kb(args: argparse.Namespace, config: RunConfig) -> int:
 
     if not os.path.exists(path):
         raise CliError(f"no knowledge base at {path}")
-    try:
-        kb = load_kb_file(path)
-    except (KnowledgeLoadError, OSError) as exc:
-        raise CliError(str(exc)) from None
+    kb = _load_kb(path)
 
     if args.kb_command == "promote-threshold":
         try:
@@ -267,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _resolve_config(args)
         return _COMMANDS[args.command](args, config)
-    except (CliError, ConfigError) as exc:
+    except (CliError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except CovarianceError as exc:
@@ -277,9 +278,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"exceed its arithmetic: {exc}",
             file=sys.stderr,
         )
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

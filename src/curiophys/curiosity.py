@@ -18,6 +18,7 @@ is an estimate, not an observation.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ from .body_budget import (
 from .knowledge import (
     AmbiguousScoreError,
     DegenerateStatsError,
+    ExceptionRecord,
     ExceptionSignature,
     KnowledgeBase,
     ZNumber,
@@ -165,6 +167,9 @@ class TrackScore:
 
 @dataclass(frozen=True)
 class EventVerdict:
+    """One event's verdict.  exception is a copy of the exception record the
+    event touched, as it stood after this event; later events leave it be."""
+
     event_id: str
     flag: Flag
     reason: str
@@ -175,13 +180,19 @@ class EventVerdict:
     z: Optional[ZNumber]
     raw_distances: Optional[Mapping[ObjectClass, float]]
     ground_truth_match: Optional[bool]
-    exception_signature: Optional[ExceptionSignature] = None
-    exception_occurrences: Optional[int] = None
-    exception_promoted: Optional[bool] = None
+    exception: Optional[ExceptionRecord] = None
 
     def __post_init__(self):
         if self.flag is Flag.EXCEPTION and self.ground_truth_match is not False:
             raise ValueError("an exception verdict requires a contradicted ground truth")
+
+    @property
+    def exception_occurrences(self) -> Optional[int]:
+        return None if self.exception is None else self.exception.occurrences
+
+    @property
+    def exception_promoted(self) -> Optional[bool]:
+        return None if self.exception is None else self.exception.promoted
 
 
 StreamResult = Union[EventVerdict, EventError]
@@ -311,10 +322,11 @@ def _flag_word(possible: bool) -> str:
 
 def _check_finite_scores(event_id: str, track_scores: Sequence[TrackScore]) -> None:
     """An impact value near the float limit can overflow a score; such an
-    event is an error before it reaches the knowledge base or a report."""
+    event is an error before it reaches the knowledge base or a report.
+    s_sc and s_stc need no check: BodyBudgetScores holds them in [0, 1]."""
     for ts in track_scores:
         s = ts.scores
-        for name, value in (("s_op", s.s_op), ("s_sc", s.s_sc), ("s_stc", s.s_stc), ("a", s.a)):
+        for name, value in (("s_op", s.s_op), ("a", s.a)):
             if not math.isfinite(value):
                 raise EventError(
                     event_id,
@@ -378,9 +390,7 @@ def classify_event(
             raw = None
 
     ground_truth_match: Optional[bool] = None
-    exception_signature = None
-    exception_occurrences = None
-    exception_promoted = None
+    exception: Optional[ExceptionRecord] = None
 
     gt = trace.ground_truth
     if gt is not None:
@@ -388,7 +398,7 @@ def classify_event(
         ground_truth_match = agent_possible == gt.possible
         if not ground_truth_match:
             signature = ExceptionSignature.build(
-                sorted({d.kind.value for d in discontinuities}),
+                {d.kind.value for d in discontinuities},
                 occluder_present,
                 _flag_word(agent_possible),
                 _flag_word(gt.possible),
@@ -410,9 +420,7 @@ def classify_event(
                     f"{_flag_word(gt.possible)}; exception recorded "
                     f"(occurrence {record.occurrences} of {kb.promotion_threshold} for promotion)"
                 )
-            exception_signature = signature
-            exception_occurrences = record.occurrences
-            exception_promoted = record.promoted
+            exception = dataclasses.replace(record)
         if ground_truth_match and focus.resolved_class in gt.object_classes:
             kb.update_stats(focus.resolved_class, focus_scores.a)
 
@@ -427,9 +435,7 @@ def classify_event(
         z=z,
         raw_distances=raw,
         ground_truth_match=ground_truth_match,
-        exception_signature=exception_signature,
-        exception_occurrences=exception_occurrences,
-        exception_promoted=exception_promoted,
+        exception=exception,
     )
 
 
@@ -502,10 +508,8 @@ def verdict_to_json(result: StreamResult) -> dict:
         }
     if result.raw_distances is not None:
         doc["raw_distances"] = {cls.value: val for cls, val in result.raw_distances.items()}
-    if result.exception_signature is not None:
-        doc["exception"] = exception_to_json(
-            result.exception_signature, result.exception_occurrences, result.exception_promoted
-        )
+    if result.exception is not None:
+        doc["exception"] = exception_to_json(result.exception)
     return doc
 
 

@@ -224,8 +224,7 @@ def generate_event(spec: ScenarioSpec) -> EventTrace:
     _check_path_in_bounds(spec, centers)
 
     rng = random.Random(spec.seed)
-    vanish_at = scripted_violation_frame(spec)
-    switch_at = scripted_violation_frame(spec)
+    violation_at = scripted_violation_frame(spec)
     size = OBJECT_SIZES[spec.object_class]
 
     object_classes: Tuple[ObjectClass, ...] = (spec.object_class,)
@@ -238,7 +237,7 @@ def generate_event(spec: ScenarioSpec) -> EventTrace:
 
         cls = spec.object_class
         w, h = size
-        if spec.kind is ScenarioKind.IMPOSSIBLE_SHAPE_CHANGE and t >= switch_at:
+        if spec.kind is ScenarioKind.IMPOSSIBLE_SHAPE_CHANGE and t >= violation_at:
             cls = _next_class(spec.object_class)
             w, h = OBJECT_SIZES[cls]
 
@@ -248,7 +247,7 @@ def generate_event(spec: ScenarioSpec) -> EventTrace:
             cy += rng.gauss(0.0, spec.noise_sigma)
 
         visible = True
-        if spec.kind is ScenarioKind.IMPOSSIBLE_DISAPPEAR and t >= vanish_at:
+        if spec.kind is ScenarioKind.IMPOSSIBLE_DISAPPEAR and t >= violation_at:
             visible = False
         if spec.occluder is not None and spec.occluder.contains((cx, cy)):
             visible = False

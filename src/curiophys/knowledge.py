@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .trace_model import (
     SCOREABLE_CLASSES,
@@ -105,7 +105,7 @@ class ExceptionSignature:
 
     @staticmethod
     def build(
-        violation_kinds: Sequence[str],
+        violation_kinds: Iterable[str],
         occluder_present: bool,
         verdict_agent: str,
         verdict_ground_truth: str,
@@ -200,22 +200,20 @@ def _check_stats(stats: Sequence[ClassStats]) -> None:
             )
 
 
-def relative_distances(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectClass, float]:
-    """|a_mean_c - a_u| / a_mean_c per class (the unnormalized confidence)."""
-    _check_stats(stats)
-    return {
-        st.object_class: abs(st.a_mean - _score_for(a_u, st.object_class)) / st.a_mean
-        for st in stats
-    }
-
-
 def raw_distances(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectClass, float]:
     """Plain |a_mean_c - a_u| per class; reported alongside the normalized
-    confidences for comparability, never used for inference."""
+    confidences for comparability, and scaled by relative_distances."""
     _check_stats(stats)
     return {
         st.object_class: abs(st.a_mean - _score_for(a_u, st.object_class)) for st in stats
     }
+
+
+def relative_distances(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectClass, float]:
+    """|a_mean_c - a_u| / a_mean_c per class (the unnormalized confidence):
+    each raw distance divided by its class mean."""
+    raw = raw_distances(a_u, stats)
+    return {st.object_class: raw[st.object_class] / st.a_mean for st in stats}
 
 
 def confidence(a_u: ScoreInput, stats: Sequence[ClassStats]) -> dict[ObjectClass, float]:
@@ -239,10 +237,9 @@ def infer(a_u: ScoreInput, stats: Sequence[ClassStats]) -> ObjectClass:
     """Class whose mean score sits closest (minimal B_c); ties and the
     all-zero-distance case resolve by canonical class order."""
     try:
-        b = confidence(a_u, stats)
+        return z_number(a_u, stats).x
     except AmbiguousScoreError:
         return min((st.object_class for st in stats), key=class_order_index)
-    return min(b, key=lambda cls: (b[cls], class_order_index(cls)))
 
 
 def z_number(a_u: ScoreInput, stats: Sequence[ClassStats]) -> ZNumber:
@@ -265,22 +262,20 @@ def kb_to_document(kb: KnowledgeBase) -> dict:
             {"class": st.object_class.value, "mean": st.a_mean, "count": st.count}
             for st in kb.stats()
         ],
-        "exceptions": [
-            exception_to_json(rec.signature, rec.occurrences, rec.promoted)
-            for rec in kb.exceptions()
-        ],
+        "exceptions": [exception_to_json(rec) for rec in kb.exceptions()],
     }
 
 
-def exception_to_json(signature: ExceptionSignature, occurrences: int, promoted: bool) -> dict:
+def exception_to_json(record: ExceptionRecord) -> dict:
     """One exception record as kb.json and verdicts.jsonl write it."""
+    signature = record.signature
     return {
         "violation_kinds": list(signature.violation_kinds),
         "occluder_present": signature.occluder_present,
         "verdict_agent": signature.verdict_agent,
         "verdict_ground_truth": signature.verdict_ground_truth,
-        "occurrences": occurrences,
-        "promoted": promoted,
+        "occurrences": record.occurrences,
+        "promoted": record.promoted,
     }
 
 

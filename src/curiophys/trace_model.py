@@ -22,8 +22,9 @@ class ObjectClass(Enum):
     """Detectable object categories.
 
     WALL is the only class treated as an occluder and is never scored.
-    UNKNOWN never appears in ground truth or detections; it exists for
-    inference inputs only.
+    UNKNOWN never appears in ground truth or detections; it exists so that
+    the trace and knowledge-base contracts can name it and refuse it.
+    Declaration order is the canonical class order.
     """
 
     SPHERE = "sphere"
@@ -41,13 +42,7 @@ class ObjectClass(Enum):
 
 
 # Deterministic ordering used for tie-breaks throughout the pipeline.
-CLASS_ORDER = (
-    ObjectClass.SPHERE,
-    ObjectClass.CONE,
-    ObjectClass.CUBE,
-    ObjectClass.WALL,
-    ObjectClass.UNKNOWN,
-)
+CLASS_ORDER = tuple(ObjectClass)
 
 # Classes an event can be "about" (everything except the occluder/unknown).
 SCOREABLE_CLASSES = (ObjectClass.SPHERE, ObjectClass.CONE, ObjectClass.CUBE)
@@ -90,6 +85,11 @@ class SceneBounds:
         for name in ("width", "height"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"scene {name} must be > 0, got {getattr(self, name)}")
+        # the area normalizes derived descriptors, so it must not underflow
+        if not self.width * self.height > 0:
+            raise ValueError(
+                f"scene width * height must be > 0, got {self.width} * {self.height}"
+            )
 
     @property
     def area(self) -> float:

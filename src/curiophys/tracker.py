@@ -20,17 +20,17 @@ frame.  A non-finite center or prediction has no candidates.
 Greedy needs an order only where pairs compete.  A pool is uncontested
 when no track and no detection is in two in-gate pairs; greedy then takes
 every pair whatever the order, so each pair is observed as found.  Only a
-contested pool ranks its detections by content (bbox, class, confidence,
-descriptor) and sorts its pairs by (distance, class mismatch, track id,
-detection rank) before assignment.  Either way the unmatched detections
-are born in content order, which is total for the NaN-free values the
-parser and validate_trace admit.  A pool with no track has no pair, so
-its detections are born without association.
+contested pool sorts its pairs, by (distance, class mismatch, track id,
+detection content: bbox, class, confidence, descriptor), before
+assignment.  Either way the unmatched detections are born in content
+order, which is total for the NaN-free values the parser and
+validate_trace admit.  A pool with no track has no pair, so its
+detections are born without association.
 
 The single-pair rule is written once, in _match_one: one track facing one
-detection has one candidate pair at most, so no order or rank can change
-its outcome, and the pair is matched exactly when it passes the gate (a
-class mismatch included).  track_event applies it before splitting a
+detection has one candidate pair at most, so no order can change its
+outcome, and the pair is matched exactly when it passes the gate (a class
+mismatch included).  track_event applies it before splitting a
 frame into pools, to a frame of one object detection facing one object
 track and no wall track: every frame after birth of a lone object.
 _step_pool applies it to a pool of one track and one detection, such as
@@ -286,8 +286,9 @@ def _step_pool(
     Otherwise the in-gate pairs are found first, each naming its detection
     by its position in the frame.  When no track and no detection is in two
     pairs the pool is uncontested: greedy takes every pair, so they are all
-    observed and only the births are ranked.  A contested pool ranks every
-    detection by content and runs greedy over the sorted pairs.
+    observed and only the births are sorted.  A contested pool sorts its
+    pairs by (distance, class mismatch, track id, detection content) and
+    runs greedy over them.
     """
     if not pool:
         return _births(list(dets))
@@ -335,25 +336,20 @@ def _step_pool(
                 pairs.append((dist, ti, dj))
 
     if contested:
-        # A detection's rank, its position in content order, stands in for
-        # its content key: ranks order as the keys do, and equal keys are
-        # equal content.  (track id, rank) is unique, so the sort never
-        # compares ti or dj.
-        keys = [_det_key(d) for d in dets]
-        rank = [0] * len(dets)
-        for r, dj in enumerate(sorted(range(len(dets)), key=keys.__getitem__)):
-            rank[dj] = r
-        ranked = []
+        # equal content is interchangeable, so dj only fixes which copy is
+        # observed; (track id, dj) is unique and the sort never compares ti
+        keyed = []
         for dist, ti, dj in pairs:
             track = pool[ti]
-            mismatch = 0 if dets[dj].object_class is track.last_class else 1
-            ranked.append((dist, mismatch, track.track_id, rank[dj], ti, dj))
-        ranked.sort()
+            det = dets[dj]
+            mismatch = 0 if det.object_class is track.last_class else 1
+            keyed.append((dist, mismatch, track.track_id, _det_key(det), dj, ti))
+        keyed.sort()
         # greedy keeps the pairs whose track and detection are both free
         pairs = []
         det_taken = [False] * len(dets)
         track_taken = [False] * len(pool)
-        for dist, _, _, _, ti, dj in ranked:
+        for dist, _, _, _, dj, ti in keyed:
             if not (track_taken[ti] or det_taken[dj]):
                 track_taken[ti] = det_taken[dj] = True
                 pairs.append((dist, ti, dj))

@@ -308,6 +308,24 @@ def test_filter_settings_beyond_its_arithmetic_are_a_clean_error(tmp_path, capsy
     assert not out_dir.exists()
 
 
+def test_a_scene_area_that_underflows_is_a_clean_error(tmp_path, capsys):
+    # the detection carries no descriptor, so one would be derived from the area
+    trace = tmp_path / "e.jsonl"
+    trace.write_text(
+        '{"event_id": "e", "frame_count": 1}\n'
+        '{"frame_index": 0, "detections": [{"class": "sphere", "confidence": 0.6, '
+        '"bbox": [10.0, 10.0, 20.0, 20.0]}]}\n'
+    )
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"scene_width": 1e-200, "scene_height": 1e-200}))
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(config), "--out", str(out_dir), "classify", str(trace)]) == 1
+    assert capsys.readouterr().err == (
+        "error: scene width * height must be > 0, got 1e-200 * 1e-200\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_plot_missing_file(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "absent.jsonl")]) == 1
     assert "absent.jsonl" in capsys.readouterr().err

@@ -99,6 +99,11 @@ def test_invalid_values_are_config_errors(key, value, message):
         config_from_document({key: value})
 
 
+def test_a_scene_area_that_underflows_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"scene width \* height must be > 0, got 1e-200 \* 1e-200"):
+        config_from_document({"scene_width": 1e-200, "scene_height": 1e-200})
+
+
 NAN, INF = float("nan"), float("inf")
 
 

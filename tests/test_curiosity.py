@@ -21,6 +21,7 @@ from curiophys.curiosity import (
     Explanation,
     encode_verdicts,
     process_stream,
+    verdict_to_json,
 )
 from curiophys.tracker import Discontinuity, DiscontinuityKind
 from trace_builders import ObjectScript, build_trace, linear_script
@@ -208,6 +209,43 @@ def test_contradiction_records_exception_and_promotes():
     assert final.exception_promoted is True
     assert kb.exceptions()[0].occurrences == 3  # override does not re-record
     assert [st.object_class for st in kb.stats()] == [S]  # now trusted, so scored
+
+
+def test_a_verdict_keeps_the_exception_record_it_touched():
+    kb = KnowledgeBase(promotion_threshold=3)
+    first = _classify(_contradicting_trace("adversarial-1"), kb)
+    second = _classify(_contradicting_trace("adversarial-2"), kb)
+    (record,) = kb.exceptions()
+    assert first.exception.signature == second.exception.signature == record.signature
+    # the knowledge base recorded the signature again; the first verdict
+    # still holds the record as it stood after its own event
+    assert (first.exception.occurrences, first.exception.promoted) == (1, False)
+    assert (second.exception.occurrences, second.exception.promoted) == (2, False)
+    assert (record.occurrences, record.promoted) == (2, False)
+
+
+def test_verdict_report_exception_objects():
+    kb = KnowledgeBase(promotion_threshold=3)
+    docs = [
+        verdict_to_json(_classify(_contradicting_trace(f"adversarial-{n}"), kb))
+        for n in (1, 2, 3, 4)
+    ]
+    signature = {
+        "violation_kinds": ["vanish"],
+        "occluder_present": False,
+        "verdict_agent": "impossible",
+        "verdict_ground_truth": "possible",
+    }
+    # new, repeated, promoted, then overridden by the promoted rule
+    assert [(doc["flag"], doc["exception"]) for doc in docs] == [
+        ("exception", {**signature, "occurrences": 1, "promoted": False}),
+        ("exception", {**signature, "occurrences": 2, "promoted": False}),
+        ("exception", {**signature, "occurrences": 3, "promoted": True}),
+        ("possible", {**signature, "occurrences": 3, "promoted": True}),
+    ]
+    assert verdict_to_json(_classify(_generated(ScenarioKind.POSSIBLE_VISIBLE), kb))[
+        "exception"
+    ] is None
 
 
 def test_exception_signature_distinguishes_occluders():

@@ -56,6 +56,14 @@ def test_scene_bounds_contains():
     assert not scene.contains((50.0, -0.1))
 
 
+def test_scene_bounds_reject_an_area_that_underflows():
+    # each side is > 0, but the product rounds to 0 and would divide a
+    # derived descriptor by zero
+    with pytest.raises(ValueError, match=r"scene width \* height must be > 0, got 1e-200 \* 1e-200"):
+        SceneBounds(1e-200, 1e-200)
+    assert SceneBounds(1e-150, 1e-150).area > 0
+
+
 def test_validate_trace_accepts_well_formed():
     trace = build_trace("ok", 5, [linear_script((50, 100), (3, 0), range(5))], possible=True)
     assert validate_trace(trace) == []

@@ -588,6 +588,15 @@ def _wall_alone_after_an_object():
     return ((obj,), (wall,)), [(0, [obj, None]), (1, [wall])]
 
 
+def _identical_twins_contested(twins_first):
+    start, cube = _unit_box((100.0, 100.0)), _unit_box((97.0, 100.0), ObjectClass.CUBE)
+    twins = (_unit_box((103.0, 100.0)), _unit_box((103.0, 100.0)))  # equal content
+    second = twins + (cube,) if twins_first else (cube,) + twins
+    # all three 3 px from the prediction: a twin wins on class, and the
+    # other twin is born after the cube, which sorts first by content
+    return ((start,), second), [(0, [start, twins[0]]), (1, [cube]), (1, [twins[1]])]
+
+
 # frames of one event, and each track's (first frame, detections) in id order
 ASSOCIATION_CASES = {
     "two-tracks-one-detection": _two_tracks_one_detection(),
@@ -600,6 +609,8 @@ ASSOCIATION_CASES = {
     "single-object-behind-a-wall": _single_object_behind_a_wall(),
     "single-object-with-a-missed-wall": _single_object_with_a_missed_wall(),
     "wall-alone-after-an-object": _wall_alone_after_an_object(),
+    "identical-twins-listed-first": _identical_twins_contested(True),
+    "identical-twins-listed-last": _identical_twins_contested(False),
 }
 
 
