@@ -273,9 +273,8 @@ def explain_discontinuities(
         at_edge = (disc.kind is DiscontinuityKind.APPEAR and disc.start_frame == 0) or (
             disc.kind is DiscontinuityKind.VANISH and disc.end_frame == frame_count - 1
         )
-        out_of_scene = any(not params.scene.contains(c) for c in centers)
 
-        if at_edge and out_of_scene:
+        if at_edge and any(not params.scene.contains(c) for c in centers):
             method = EXPLAIN_SCENE_BOUNDS
         elif countwall / gap_frames >= params.occlusion_coverage_min:
             method = EXPLAIN_OCCLUDER
@@ -323,16 +322,17 @@ def _flag_word(possible: bool) -> str:
 def _check_finite_scores(event_id: str, track_scores: Sequence[TrackScore]) -> None:
     """An impact value near the float limit can overflow a score; such an
     event is an error before it reaches the knowledge base or a report.
-    s_sc and s_stc need no check: BodyBudgetScores holds them in [0, 1]."""
+    Only s_op needs the check: BodyBudgetScores holds s_sc and s_stc in
+    [0, 1] and WeightConfig the weights, so the composite a is at most
+    s_op + 2, which rounds to a finite float whenever s_op is finite."""
     for ts in track_scores:
-        s = ts.scores
-        for name, value in (("s_op", s.s_op), ("a", s.a)):
-            if not math.isfinite(value):
-                raise EventError(
-                    event_id,
-                    f"track {ts.track_id} ({ts.object_class.value}): {name} is {value}, "
-                    "not a finite number",
-                )
+        s_op = ts.scores.s_op
+        if not math.isfinite(s_op):
+            raise EventError(
+                event_id,
+                f"track {ts.track_id} ({ts.object_class.value}): s_op is {s_op}, "
+                "not a finite number",
+            )
 
 
 def classify_event(

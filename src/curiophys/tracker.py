@@ -24,7 +24,8 @@ contested pool sorts its pairs, by (distance, class mismatch, track id,
 detection content: bbox, class, confidence, descriptor), before
 assignment.  Either way the unmatched detections are born in content
 order, which is total for the NaN-free values the parser and
-validate_trace admit.  A pool with no track has no pair, so its
+validate_trace admit; a box holding a NaN (only in a trace built in code)
+is born after all of them.  A pool with no track has no pair, so its
 detections are born without association.
 
 The single-pair rule is written once, in _match_one: one track facing one
@@ -149,10 +150,12 @@ class Track:
     """State history of one tracked object across a trace.
 
     Per-frame lists are aligned and indexed by (frame - first_frame); they
-    always extend to the final frame of the trace.  A frame's detection is
-    None where the track coasted.  last_class is the class of the latest
-    observed detection; _class_counts counts observed detections per class,
-    indexed by position in CLASS_ORDER.
+    always extend to the final frame of the trace.  A frame's detection and
+    residual are None exactly where the track coasted.  The classes are
+    kept once, as runs: _class_runs holds [class, first frame, observations]
+    for each maximal run of observations of one class, and a gap does not
+    end a run.  last_class, detected_frames and resolved_class are read off
+    the runs; a track has one or two in practice.
     """
 
     def __init__(self, track_id: int, first_frame: int, det: Detection, params: TrackerParams):
@@ -166,22 +169,22 @@ class Track:
         # at birth the prediction is the detection itself
         self.centers_predicted: list[Tuple[float, float]] = [center]
         self.residuals: list[Optional[float]] = [0.0]
-        self.last_class = det.object_class
-        self._class_counts = [0] * len(CLASS_ORDER)
-        self._class_counts[CLASS_ORDER.index(det.object_class)] = 1
+        self._class_runs: list[list] = [[det.object_class, first_frame, 1]]
 
     def observe(
         self, det: Detection, predicted: Tuple[float, float], center: Tuple[float, float]
-    ) -> float:
+    ) -> None:
         """Fold in det, whose center the caller has already computed."""
         residual = self.filter.update(center)
         cls = det.object_class
-        self.last_class = cls
-        self._class_counts[CLASS_ORDER.index(cls)] += 1
+        run = self._class_runs[-1]
+        if run[0] is cls:
+            run[2] += 1
+        else:
+            self._class_runs.append([cls, self.first_frame + len(self.detections), 1])
         self.detections.append(det)
         self.centers_predicted.append(predicted)
         self.residuals.append(residual)
-        return residual
 
     def coast(self, predicted: Tuple[float, float]) -> None:
         self.detections.append(None)
@@ -227,15 +230,22 @@ class Track:
     # -- aggregates -----------------------------------------------------------
 
     @property
+    def last_class(self) -> ObjectClass:
+        """The class of the latest observed detection."""
+        return self._class_runs[-1][0]
+
+    @property
     def detected_frames(self) -> int:
-        return sum(self._class_counts)
+        return sum(run[2] for run in self._class_runs)
 
     @property
     def resolved_class(self) -> ObjectClass:
         """Majority class over observed frames; ties go to the smaller class
         in canonical order, so an exact half-way switch resolves to the
         class the object started as."""
-        counts = self._class_counts
+        counts = [0] * len(CLASS_ORDER)
+        for cls, _, observations in self._class_runs:
+            counts[class_order_index(cls)] += observations
         return CLASS_ORDER[counts.index(max(counts))]
 
     def __repr__(self) -> str:
@@ -248,8 +258,11 @@ class Track:
 
 def _det_key(det: Detection) -> tuple:
     """Content-based ordering key; makes association independent of the
-    order detections happen to be listed in a frame."""
-    return (det.bbox, class_order_index(det.object_class), det.confidence, det.shape_descriptor)
+    order detections happen to be listed in a frame.  A NaN compares with
+    nothing, so a box holding one is flagged to sort after every other."""
+    x, y, w, h = bbox = det.bbox
+    nan = x != x or y != y or w != w or h != h
+    return (nan, bbox, class_order_index(det.object_class), det.confidence, det.shape_descriptor)
 
 
 def _match_one(track: Track, det: Detection, gate: float) -> bool:
@@ -440,76 +453,60 @@ def track_discontinuities(
     an appear, a gap running to the end only a vanish.  Walls are scenery:
     they get no discontinuities.
 
-    Two scans run only where they can find something: the gap scan when the
-    track has fewer detected frames than frames (some frame is None), the
-    class-run scan when more than one class was observed (the largest class
-    count is below the detected frames).
+    One pass over the residuals finds both gaps and jumps: a residual is
+    None exactly where the track coasted, and the birth residual 0.0 never
+    passes the positive jump gate.  Shape switches come from the class
+    runs, of which a one-class track has no second.
     """
     if track.is_occluder:
         return []
     out: list[Discontinuity] = []
     tid = track.track_id
+    first = track.first_frame
 
-    if track.first_frame > 0:
+    if first > 0:
         out.append(
             Discontinuity(
-                DiscontinuityKind.APPEAR,
-                tid,
-                0,
-                track.first_frame - 1,
-                f"first detected at frame {track.first_frame}",
+                DiscontinuityKind.APPEAR, tid, 0, first - 1, f"first detected at frame {first}"
             )
         )
 
-    detected = track.detected_frames
-    # maximal runs of absent frames within the track span
-    if detected < len(track.detections):
-        gap_start: Optional[int] = None
-        for i, det in enumerate(track.detections):
-            frame = track.first_frame + i
-            if det is None and gap_start is None:
+    jump_gate = params.jump_gate
+    gap_start: Optional[int] = None
+    for frame, residual in enumerate(track.residuals, first):
+        if residual is None:
+            if gap_start is None:
                 gap_start = frame
-            elif det is not None and gap_start is not None:
-                out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame - 1))
-                out.append(Discontinuity(DiscontinuityKind.APPEAR, tid, gap_start, frame - 1))
-                gap_start = None
-        if gap_start is not None:
-            out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame_count - 1))
-
-    # positional jumps: matched detections far from the coasting prediction
-    for i, residual in enumerate(track.residuals):
-        if i == 0 or residual is None:
             continue
-        if residual > params.jump_gate:
-            frame = track.first_frame + i
+        if gap_start is not None:
+            out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame - 1))
+            out.append(Discontinuity(DiscontinuityKind.APPEAR, tid, gap_start, frame - 1))
+            gap_start = None
+        # positional jump: a matched detection far from the coasting prediction
+        if residual > jump_gate:
             out.append(
                 Discontinuity(
                     DiscontinuityKind.JUMP, tid, frame, frame, f"residual {residual:.1f}px"
                 )
             )
+    if gap_start is not None:
+        out.append(Discontinuity(DiscontinuityKind.VANISH, tid, gap_start, frame_count - 1))
 
     # class switches: a sustained run of a different class than established
-    if max(track._class_counts) < detected:
-        runs: list[Tuple[ObjectClass, int, int]] = []  # (class, start_frame, count)
-        for frame, det in track.observed():
-            cls = det.object_class
-            if runs and runs[-1][0] is cls:
-                runs[-1] = (cls, runs[-1][1], runs[-1][2] + 1)
-            else:
-                runs.append((cls, frame, 1))
-        established = runs[0][0]
-        for cls, start, count in runs[1:]:
-            if cls is not established and count >= SHAPE_SWITCH_MIN_RUN:
-                out.append(
-                    Discontinuity(
-                        DiscontinuityKind.SHAPE_SWITCH,
-                        tid,
-                        start,
-                        start,
-                        f"{established.value} -> {cls.value}",
-                    )
+    runs = track._class_runs
+    established = runs[0][0]
+    for cls, start, observations in runs[1:]:
+        if cls is not established and observations >= SHAPE_SWITCH_MIN_RUN:
+            out.append(
+                Discontinuity(
+                    DiscontinuityKind.SHAPE_SWITCH,
+                    tid,
+                    start,
+                    start,
+                    f"{established.value} -> {cls.value}",
                 )
-                established = cls
+            )
+            established = cls
 
     out.sort(key=lambda d: (d.start_frame, d.end_frame, _KIND_ORDER[d.kind]))
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event, tracker
 from curiophys.ingest import scripted_violation_frame
-from curiophys.trace_model import Detection, EventTrace, class_order_index
+from curiophys.trace_model import CLASS_ORDER, Detection, EventTrace, class_order_index
 from curiophys.tracker import (
     SHAPE_SWITCH_MIN_RUN,
     CovarianceError,
@@ -362,6 +362,54 @@ def test_last_and_resolved_class_follow_each_observation():
             d = det(cls)
             track.observe(d, predicted, d.center)
         assert (track.last_class, track.resolved_class) == (last, resolved)
+
+
+def _check_class_record(track):
+    """A track's class runs and the aggregates read off them, against walks
+    over its frames."""
+    runs = []  # [class, first frame, observations]
+    for frame, det in track.observed():
+        if runs and runs[-1][0] is det.object_class:
+            runs[-1][2] += 1
+        else:
+            runs.append([det.object_class, frame, 1])
+    assert track._class_runs == runs
+    classes = [d.object_class for d in track.detections if d is not None]
+    assert track.last_class is classes[-1]
+    assert track.detected_frames == len(classes)
+    # max keeps the first of equal counts: ties go to the smaller class
+    assert track.resolved_class is max(CLASS_ORDER, key=classes.count)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_class_runs_match_walks_over_generated_events(kind):
+    for noise in (0.0, 2.0):
+        for track in track_event(generate_event(build_spec(kind, noise_sigma=noise))):
+            _check_class_record(track)
+
+
+def test_class_runs_match_walks_over_the_frames():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # each step observes a box of the drawn class or, for None, coasts
+    steps = st.lists(st.none() | st.sampled_from(CLASS_ORDER), max_size=30)
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.integers(0, 5), st.sampled_from(CLASS_ORDER), steps)
+    def check(first_frame, born, steps):
+        track = Track(0, first_frame, _unit_box((50.0, 100.0), born), TrackerParams())
+        _check_class_record(track)
+        for cls in steps:
+            predicted = track.filter.predict()
+            if cls is None:
+                track.coast(predicted)
+            else:
+                box = _unit_box((50.0, 100.0), cls)
+                track.observe(box, predicted, box.center)
+            _check_class_record(track)
+
+    check()
 
 
 # -- association parity ------------------------------------------------------
@@ -748,7 +796,7 @@ def test_non_finite_x_leaves_the_finite_association_alone():
     )
 
     def finite_tracks(tracks):
-        # NaN keys are not ordered, so birth order (track ids) may differ
+        # the -inf box is born before the finite ones, so track ids differ
         return sorted(
             (
                 (t.first_frame, t.detections[0].bbox),
@@ -771,6 +819,23 @@ def test_non_finite_x_leaves_the_finite_association_alone():
     assert sorted((t.first_frame, id(t.detections[0])) for t in others) == sorted(
         (f, id(d)) for f in range(5) for d in (nan_x, pos_inf, neg_inf)
     )
+
+
+def test_a_nan_box_is_born_last_wherever_it_is_listed():
+    # trace built in code: a NaN compares with nothing, so unless the content
+    # key sets a NaN box apart its list position decides the finite births
+    finite = [
+        Detection.build(ObjectClass.SPHERE, 0.6, (x, y, 10.0, 10.0), (1.0, 0.1))
+        for x, y in ((10.0, 10.0), (200.0, 10.0), (400.0, 10.0), (10.0, 200.0))
+    ]
+    nan_box = Detection.build(ObjectClass.SPHERE, 0.6, (math.nan, 10.0, 10.0, 10.0), (1.0, 0.1))
+    in_content_order = [finite[0], finite[3], finite[1], finite[2]]
+    births = [t.detections[0] for t in track_event(EventTrace("finite", (tuple(finite),), None))]
+    assert births == in_content_order
+    for position in range(len(finite) + 1):
+        frame = tuple(finite[:position]) + (nan_box,) + tuple(finite[position:])
+        births = [t.detections[0] for t in track_event(EventTrace("nan", (frame,), None))]
+        assert births == in_content_order + [nan_box], position
 
 
 def test_sweep_prunes_the_distance_tests(monkeypatch):
