@@ -12,9 +12,10 @@ the knowledge base.
 Jump and shape-switch breaks are never explainable: no external factor
 makes teleportation or shape shifting acceptable.
 
-A wall hides a gap frame when its bbox, grown by OCCLUDER_INFLATION pixels
-on every side, contains the object's predicted center: the coasted center
-is an estimate, not an observation.
+Where an object was while unseen is the tracker's belief, read only
+through tracker.gap_centers.  A wall hides a gap frame when its bbox, grown
+by OCCLUDER_INFLATION pixels on every side, contains that center: a coasted
+or extrapolated center is an estimate, not an observation.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ from .tracker import (
     DiscontinuityKind,
     Track,
     TrackerParams,
+    gap_centers,
     trace_discontinuities,
     track_event,
 )
@@ -202,30 +204,12 @@ StreamResult = Union[EventVerdict, EventError]
 # Explanation
 # ---------------------------------------------------------------------------
 
-def _gap_centers(track: Track, start: int, end: int) -> list[Tuple[float, float]]:
-    """Predicted centers over gap frames [start, end].
-
-    Frames the track covers use the filter's coasted predictions.  Frames
-    before the track existed (a gap at the trace start) are extrapolated
-    backward from the first two observations.
-    """
-    if start >= track.first_frame:
-        return [track.predicted_center_at(f) for f in range(start, end + 1)]
-    observed = [(frame, det.center) for frame, det in track.observed()]
-    (t0, c0) = observed[0]
-    if len(observed) >= 2:
-        (t1, c1) = observed[1]
-        vx = (c1[0] - c0[0]) / (t1 - t0)
-        vy = (c1[1] - c0[1]) / (t1 - t0)
-    else:
-        vx, vy = 0.0, 0.0
-    return [(c0[0] - vx * (t0 - f), c0[1] - vy * (t0 - f)) for f in range(start, end + 1)]
-
-
 def _wall_contains(walls: Sequence[Track], frame: int, center: Tuple[float, float]) -> bool:
     inflation = OCCLUDER_INFLATION
     for wall in walls:
-        det = wall.detection_at(frame) if wall.covers(frame) else None
+        # every track runs to the trace's last frame: only birth bounds it
+        i = frame - wall.first_frame
+        det = wall.detections[i] if i >= 0 else None
         if det is None:
             continue
         x, y, w, h = det.bbox
@@ -262,7 +246,7 @@ def explain_discontinuities(
             continue
 
         track = by_id[disc.track_id]
-        centers = _gap_centers(track, disc.start_frame, disc.end_frame)
+        centers = gap_centers(track, disc.start_frame, disc.end_frame)
         gap_frames = len(centers)
         countwall = sum(
             1

@@ -360,7 +360,10 @@ def kb_from_document(doc) -> KnowledgeBase:
             raise _load_error(f"exceptions[{i}]: occurrences must be >= 1")
         if signature in kb._exceptions:
             raise _load_error(f"exceptions[{i}]: repeats the signature of an earlier entry")
-        kb._exceptions[signature] = ExceptionRecord(signature, occurrences, promoted)
+        # promotion is sticky and follows the threshold, as set_promotion_threshold does
+        kb._exceptions[signature] = ExceptionRecord(
+            signature, occurrences, promoted or occurrences >= threshold
+        )
 
     return kb
 

@@ -8,6 +8,9 @@ occlusion and what gives the curiosity layer a predicted center to test
 against occluder geometry.  The filter is a closed-form per-axis Kalman
 filter: with isotropic noise both axes share one 2x2 covariance exactly.
 
+gap_centers, the one gap model, says where an object was in a frame
+without a detection; the curiosity layer reads gap positions only there.
+
 Association is greedy nearest-neighbor over predicted centers and is
 independent of detection order within a frame.  The in-gate pairs are
 found first, by sweep and prune (the broad phase of I-COLLIDE, Cohen et
@@ -205,22 +208,6 @@ class Track:
             out.append(replay.velocity)
         return out
 
-    # -- frame-indexed access -------------------------------------------------
-
-    def covers(self, frame: int) -> bool:
-        return self.first_frame <= frame < self.first_frame + len(self.detections)
-
-    def _idx(self, frame: int) -> int:
-        if not self.covers(frame):
-            raise IndexError(f"track {self.track_id} does not cover frame {frame}")
-        return frame - self.first_frame
-
-    def detection_at(self, frame: int) -> Optional[Detection]:
-        return self.detections[self._idx(frame)]
-
-    def predicted_center_at(self, frame: int) -> Tuple[float, float]:
-        return self.centers_predicted[self._idx(frame)]
-
     def observed(self) -> Iterator[Tuple[int, Detection]]:
         """(frame, detection) for every frame the track was detected in."""
         for i, det in enumerate(self.detections):
@@ -279,13 +266,6 @@ def _match_one(track: Track, det: Detection, gate: float) -> bool:
     return True
 
 
-def _births(dets: list[Detection]) -> list[Detection]:
-    """Unmatched detections in the order they start tracks: by content."""
-    if len(dets) > 1:
-        dets.sort(key=_det_key)
-    return dets
-
-
 def _step_pool(
     pool: list[Track],
     dets: Sequence[Detection],
@@ -303,8 +283,6 @@ def _step_pool(
     pairs by (distance, class mismatch, track id, detection content) and
     runs greedy over them.
     """
-    if not pool:
-        return _births(list(dets))
     gate = params.assoc_gate
     if len(pool) == 1 and len(dets) == 1:
         return [] if _match_one(pool[0], dets[0], gate) else [dets[0]]
@@ -375,7 +353,10 @@ def _step_pool(
         if not observed[ti]:
             track.coast(predictions[ti])
 
-    return _births([det for det, taken in zip(dets, det_taken) if not taken])
+    # unmatched detections start tracks in content order
+    births = [det for det, taken in zip(dets, det_taken) if not taken]
+    births.sort(key=_det_key)
+    return births
 
 
 def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> list[Track]:
@@ -403,8 +384,6 @@ def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> l
         for det in detections:
             (wall_dets if det.object_class is wall else obj_dets).append(det)
         for pool, dets in ((objects, obj_dets), (walls, wall_dets)):
-            if not pool and not dets:
-                continue
             for det in _step_pool(pool, dets, params):
                 track = Track(len(tracks), frame_index, det, params)
                 tracks.append(track)
@@ -510,6 +489,26 @@ def track_discontinuities(
 
     out.sort(key=lambda d: (d.start_frame, d.end_frame, _KIND_ORDER[d.kind]))
     return out
+
+
+def gap_centers(track: Track, start: int, end: int) -> list[Tuple[float, float]]:
+    """Where the track's object was in gap frames [start, end]: the filter's
+    coasted predictions where the track exists, and before its birth a
+    backward extrapolation from its first two observations (held at its
+    only one).  A gap never starts on the birth frame, so >= and > agree."""
+    first = track.first_frame
+    if start >= first:
+        return track.centers_predicted[start - first : end - first + 1]
+    dets = track.detections
+    x0, y0 = dets[0].center
+    vx = vy = 0.0
+    for i in range(1, len(dets)):
+        det = dets[i]
+        if det is not None:
+            x1, y1 = det.center
+            vx, vy = (x1 - x0) / i, (y1 - y0) / i
+            break
+    return [(x0 - vx * (first - f), y0 - vy * (first - f)) for f in range(start, end + 1)]
 
 
 def trace_discontinuities(

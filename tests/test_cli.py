@@ -234,6 +234,19 @@ def test_relative_distances_that_overflow_leave_the_z_number_null(tmp_path, caps
     assert [st.count for st in load_kb_file(kb_path).stats()] == [2, 1]
 
 
+def test_a_class_mean_of_zero_loads_and_leaves_the_z_number_null(tmp_path, capsys):
+    # a mean of exactly 0 is a valid record, but no relative distance to it exists
+    trace = str(_generate(tmp_path))
+    kb_path = tmp_path / "kb.json"
+    stats = [{"class": "sphere", "mean": 0.0, "count": 1}, {"class": "cube", "mean": 5.0, "count": 1}]
+    kb_path.write_text(json.dumps({"version": 1, "class_stats": stats}))
+    out_dir = tmp_path / "results"
+    assert main(["--kb", str(kb_path), "--out", str(out_dir), "classify", trace]) == 0
+    (verdict,) = _strict_lines(out_dir / "verdicts.jsonl")
+    assert verdict["flag"] == "possible"
+    assert verdict["z_number"] is None and verdict["raw_distances"] is None
+
+
 def test_plot_writes_svg_and_csv(tmp_path, capsys):
     trace = str(_generate(tmp_path))
     out_dir = tmp_path / "plots"
@@ -352,6 +365,42 @@ def test_kb_show_reports_a_section_that_is_not_an_array(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: knowledge base unreadable: class_stats must be an array, got 5\n"
     )
+
+
+def test_kb_show_reports_a_document_that_is_not_an_object(tmp_path, capsys):
+    (tmp_path / "kb.json").write_text("[]")
+    assert main(["--out", str(tmp_path), "kb", "show"]) == 1
+    assert capsys.readouterr().err == (
+        "error: knowledge base unreadable: top-level document must be an object\n"
+    )
+
+
+def test_kb_show_lists_pending_and_promoted_exceptions(tmp_path, capsys):
+    exceptions = [
+        {
+            "violation_kinds": kinds,
+            "occluder_present": occluder,
+            "verdict_agent": "impossible",
+            "verdict_ground_truth": "possible",
+            "occurrences": occurrences,
+            "promoted": promoted,
+        }
+        for kinds, occluder, occurrences, promoted in (
+            (["vanish"], False, 1, False),
+            (["appear", "vanish"], True, 3, True),
+        )
+    ]
+    doc = {"version": 1, "promotion_threshold": 3, "exceptions": exceptions}
+    (tmp_path / "kb.json").write_text(json.dumps(doc))
+    assert main(["--out", str(tmp_path), "kb", "show"]) == 0
+    out = capsys.readouterr().out
+    assert "0 classes, 2 exceptions" in out
+    # listed in signature order
+    assert out.splitlines()[-2:] == [
+        "  exception [appear, vanish] occluder=yes agent=impossible truth=possible "
+        "occurrences=3 (promoted)",
+        "  exception [vanish] occluder=no agent=impossible truth=possible occurrences=1 (pending)",
+    ]
 
 
 def test_kb_reset_then_show(tmp_path, capsys):

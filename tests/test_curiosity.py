@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from curiophys import (
     build_spec,
     classify_event,
     generate_event,
+    load_kb,
 )
 from curiophys.curiosity import (
     EXPLAIN_NONE,
@@ -23,6 +25,7 @@ from curiophys.curiosity import (
     process_stream,
     verdict_to_json,
 )
+from curiophys.trace_model import Detection
 from curiophys.tracker import Discontinuity, DiscontinuityKind
 from trace_builders import ObjectScript, build_trace, linear_script
 
@@ -139,6 +142,100 @@ def test_interior_gap_never_counts_as_scene_exit():
     assert all(e.method == EXPLAIN_NONE for e in verdict.explanations)
 
 
+def test_interior_gap_leaving_the_scene_is_not_a_scene_exit():
+    # the object stops at the right edge while unseen: its coasted centers
+    # run on past x = 640, yet it is re-acquired in view, so the gap is
+    # interior and no scene edge explains it
+    centers = {t: (600.0 + 4.0 * t, 100.0) for t in range(10)}
+    centers.update({t: (636.0, 100.0) for t in range(15, 20)})
+    verdict = _classify(build_trace("edge-stop", 20, [ObjectScript(centers)]))
+    assert verdict.flag is Flag.IMPOSSIBLE
+    vanish, appear = verdict.explanations
+    assert (vanish.discontinuity.kind, appear.discontinuity.kind) == (
+        DiscontinuityKind.VANISH,
+        DiscontinuityKind.APPEAR,
+    )
+    assert (vanish.discontinuity.start_frame, vanish.discontinuity.end_frame) == (10, 14)
+    assert vanish.method == appear.method == EXPLAIN_NONE
+
+
+# -- the gap model -------------------------------------------------------------
+
+
+def test_pop_in_seen_twice_is_extrapolated_out_of_the_scene():
+    # first seen at frame 30, missed at 31, seen again at 32: 8 px per frame
+    # backward puts it at x = 100 - 8 * 30 = -140 at frame 0, outside
+    centers = {30: (100.0, 100.0), 32: (116.0, 100.0)}
+    verdict = _classify(build_trace("pop-in-twice", 33, [ObjectScript(centers)]))
+    entry = verdict.explanations[0]
+    assert entry.discontinuity.kind is DiscontinuityKind.APPEAR
+    assert (entry.discontinuity.start_frame, entry.discontinuity.end_frame) == (0, 29)
+    assert entry.method == EXPLAIN_SCENE_BOUNDS
+
+
+def test_pop_in_seen_once_stays_where_it_was_seen():
+    # one observation gives no velocity: the unseen frames hold it mid-scene
+    verdict = _classify(build_trace("pop-in-once", 20, [ObjectScript({10: (300.0, 100.0)})]))
+    assert verdict.flag is Flag.IMPOSSIBLE
+    assert [(e.discontinuity.kind, e.method) for e in verdict.explanations] == [
+        (DiscontinuityKind.APPEAR, EXPLAIN_NONE),
+        (DiscontinuityKind.VANISH, EXPLAIN_NONE),
+    ]
+
+
+@pytest.mark.parametrize(
+    "wall_bbox",
+    [
+        (305.0, 50.0, 40.0, 100.0),
+        (255.0, 50.0, 40.0, 100.0),
+        (280.0, 105.0, 40.0, 40.0),
+        (280.0, 55.0, 40.0, 40.0),
+    ],
+    ids=["left", "right", "top", "bottom"],
+)
+def test_a_center_on_the_inflated_wall_edge_is_hidden(wall_bbox):
+    # seen once, at frame 10: the unseen frames hold it at (300, 100), and
+    # the wall grown by 5 px has that point exactly on one edge
+    trace = build_trace("edge", 11, [ObjectScript({10: (300.0, 100.0)})], wall_bbox=wall_bbox)
+    (entry,) = _classify(trace).explanations
+    assert (entry.countwall, entry.gap_frames) == (10, 10)
+    assert entry.method == EXPLAIN_OCCLUDER
+
+
+def _with_wall(trace, bbox, frames):
+    """The trace with a wall of bbox detected in the given frames only."""
+    wall = Detection.build(ObjectClass.WALL, 0.9, bbox)
+    return dataclasses.replace(
+        trace,
+        frames=tuple(
+            dets + (wall,) if t in frames else dets for t, dets in enumerate(trace.frames)
+        ),
+    )
+
+
+def _gap_object(event_id):
+    # coasted centers x = 55, 58, ..., 82 over the gap, frames 5-14
+    frames = list(range(0, 5)) + list(range(15, 20))
+    return build_trace(event_id, 20, [linear_script((40.0, 100.0), (3.0, 0.0), frames)])
+
+
+def test_wall_born_inside_a_gap_covers_only_frames_from_its_birth():
+    # the wall spans every coasted center but appears at frame 8: it hides
+    # gap frames 8-14, 7 of 10
+    trace = _with_wall(_gap_object("wall-born-late"), (50.0, 92.0, 40.0, 16.0), range(8, 20))
+    verdict = _classify(trace)
+    assert [(e.countwall, e.gap_frames) for e in verdict.explanations] == [(7, 10), (7, 10)]
+    assert verdict.flag is Flag.POSSIBLE
+
+
+def test_wall_missed_in_gap_frames_hides_only_the_frames_it_was_seen():
+    seen = [t for t in range(20) if t not in (9, 10)]
+    trace = _with_wall(_gap_object("wall-missed"), (50.0, 92.0, 40.0, 16.0), seen)
+    verdict = _classify(trace)
+    assert [(e.countwall, e.gap_frames) for e in verdict.explanations] == [(8, 10), (8, 10)]
+    assert verdict.flag is Flag.POSSIBLE
+
+
 # -- occlusion coverage threshold -------------------------------------------
 
 
@@ -178,6 +275,13 @@ def test_coverage_threshold_is_configurable():
     trace = _gap_trace("configurable", 16.0)
     assert _classify(trace).flag is Flag.IMPOSSIBLE
     assert _classify(trace, occlusion_coverage_min=0.5).flag is Flag.POSSIBLE
+
+
+def test_full_coverage_may_be_required():
+    assert _classify(_gap_trace("most", 25.0), occlusion_coverage_min=1.0).flag is Flag.IMPOSSIBLE
+    verdict = _classify(_gap_trace("all", 40.0), occlusion_coverage_min=1.0)
+    assert [e.coverage for e in verdict.explanations] == [1.0, 1.0]
+    assert verdict.flag is Flag.POSSIBLE
 
 
 # -- ground truth, exceptions, promotion -------------------------------------
@@ -222,6 +326,34 @@ def test_a_verdict_keeps_the_exception_record_it_touched():
     assert (first.exception.occurrences, first.exception.promoted) == (1, False)
     assert (second.exception.occurrences, second.exception.promoted) == (2, False)
     assert (record.occurrences, record.promoted) == (2, False)
+
+
+def test_a_loaded_record_at_the_threshold_is_a_promoted_rule():
+    doc = {
+        "version": 1,
+        "promotion_threshold": 3,
+        "exceptions": [
+            {
+                "violation_kinds": ["vanish"],
+                "occluder_present": False,
+                "verdict_agent": "impossible",
+                "verdict_ground_truth": "possible",
+                "occurrences": 5,
+                "promoted": False,
+            }
+        ],
+    }
+    trace = _generated(ScenarioKind.IMPOSSIBLE_DISAPPEAR)
+    trace = dataclasses.replace(
+        trace, ground_truth=dataclasses.replace(trace.ground_truth, possible=True)
+    )
+    verdict = _classify(trace, load_kb(json.dumps(doc).encode()))
+    assert verdict.flag is Flag.POSSIBLE
+    assert verdict.reason == (
+        "verdict impossible contradicts ground truth; "
+        "overridden to possible by promoted rule (seen 5 times)"
+    )
+    assert (verdict.exception.occurrences, verdict.exception.promoted) == (5, True)
 
 
 def test_verdict_report_exception_objects():

@@ -144,6 +144,14 @@ def test_relative_and_raw_distances():
     assert raw[K] == pytest.approx(15.10)
 
 
+def test_a_score_of_zero_is_accepted():
+    stats = ClassStats(S)
+    stats.record(0.0)
+    assert (stats.a_mean, stats.count) == (0.0, 1)
+    assert raw_distances(0.0, _stats(sphere=1.5, cube=4.0)) == {S: 1.5, K: 4.0}
+    assert raw_distances({S: 0.0, K: 1.0}, _stats(sphere=1.5, cube=4.0)) == {S: 1.5, K: 3.0}
+
+
 def test_z_number_invariants():
     z = z_number(0.494, _stats(sphere=1.57, cube=17.88))
     assert z.x is S and z.a == 0.494
@@ -263,6 +271,33 @@ def test_load_rejects_corruption():
         load_kb(json.dumps(doc).encode())
     with pytest.raises(KnowledgeLoadError):
         load_kb(b"\xff\xfe not utf8 json")
+
+
+def test_load_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(KnowledgeLoadError) as excinfo:
+        load_kb(b"[]")
+    assert str(excinfo.value) == "knowledge base unreadable: top-level document must be an object"
+
+
+def test_load_rejects_zero_occurrences():
+    doc = json.loads(save_kb(_populated_kb()))
+    doc["exceptions"][1]["occurrences"] = 0
+    with pytest.raises(KnowledgeLoadError) as excinfo:
+        load_kb(json.dumps(doc).encode())
+    assert str(excinfo.value) == (
+        "knowledge base unreadable: exceptions[1]: occurrences must be >= 1"
+    )
+
+
+def test_load_promotes_a_record_that_reached_the_threshold():
+    # a record at or past the threshold is promoted, as set_promotion_threshold
+    # would promote it; one below it stays pending
+    doc = json.loads(save_kb(_populated_kb()))
+    assert doc["promotion_threshold"] == 2
+    doc["exceptions"][0].update(occurrences=2, promoted=False)
+    doc["exceptions"][1].update(occurrences=1, promoted=False)
+    loaded = load_kb(json.dumps(doc).encode())
+    assert [(r.occurrences, r.promoted) for r in loaded.exceptions()] == [(2, True), (1, False)]
 
 
 @pytest.mark.parametrize("field", ["occluder_present", "promoted"])

@@ -55,12 +55,36 @@ def test_track_survives_occlusion_as_one_identity():
     gap = [track.first_frame + i for i, d in enumerate(track.detections) if d is None]
     assert gap == list(range(40, 56))
     # prediction keeps moving through the gap
-    before = track.predicted_center_at(gap[0])
-    after = track.predicted_center_at(gap[-1])
+    before, *_, after = tracker.gap_centers(track, gap[0], gap[-1])
     assert after[0] - before[0] == pytest.approx(3.0 * (len(gap) - 1), abs=0.2)
     # reappearance snaps back onto the same track with a tiny residual
     reappear = track.residuals[gap[-1] + 1 - track.first_frame]
     assert reappear is not None and reappear < 1.0
+
+
+def test_gap_centers_are_the_coasted_predictions():
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_OCCLUDED))
+    track = _single_track(trace)
+    first = track.first_frame
+    centers = tracker.gap_centers(track, 40, 55)
+    assert len(centers) == 16
+    assert all(
+        c is track.centers_predicted[f - first] for f, c in zip(range(40, 56), centers)
+    )
+
+
+def test_gap_centers_before_birth_extrapolate_from_two_observations():
+    # seen at frames 30 and 32, missed at 31: 8 px and -2 px per frame
+    script = ObjectScript({30: (100.0, 100.0), 32: (116.0, 96.0)})
+    track = _single_track(build_trace("pop-in-twice", 33, [script]))
+    assert tracker.gap_centers(track, 0, 2) == [(-140.0, 160.0), (-132.0, 158.0), (-124.0, 156.0)]
+    assert tracker.gap_centers(track, 29, 29) == [(92.0, 102.0)]
+
+
+def test_gap_centers_before_birth_hold_a_single_observation():
+    script = ObjectScript({10: (300.0, 100.0)})
+    track = _single_track(build_trace("pop-in-once", 20, [script]))
+    assert tracker.gap_centers(track, 0, 9) == [(300.0, 100.0)] * 10
 
 
 def test_walls_and_objects_track_in_separate_pools():
@@ -237,6 +261,23 @@ def test_teleport_registers_exactly_one_jump():
     assert [(d.start_frame, d.end_frame) for d in jumps] == [(cut, cut)]
     # and the track was not split in two
     assert track.detected_frames == trace.frame_count
+
+
+def test_a_residual_equal_to_the_jump_gate_is_no_jump():
+    # born at x = 100 with no velocity and seen next at x = 125: an
+    # innovation of exactly 25 px, a jump only under a smaller gate
+    script = ObjectScript({0: (100.0, 100.0), 1: (125.0, 100.0)})
+    track = _single_track(build_trace("at-gate", 2, [script]))
+    assert track.residuals == [0.0, 25.0]
+    assert track_discontinuities(track, 2, TrackerParams(jump_gate=25.0)) == []
+    (jump,) = track_discontinuities(track, 2, TrackerParams(jump_gate=24.999))
+    assert (jump.kind, jump.start_frame) == (DiscontinuityKind.JUMP, 1)
+
+
+def test_a_discontinuity_cannot_end_before_it_starts():
+    with pytest.raises(ValueError, match="end_frame must be >= start_frame"):
+        Discontinuity(DiscontinuityKind.VANISH, 0, 5, 4)
+    assert Discontinuity(DiscontinuityKind.JUMP, 0, 5, 5).end_frame == 5
 
 
 def test_wall_tracks_produce_no_discontinuities():
