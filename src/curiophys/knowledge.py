@@ -360,11 +360,9 @@ def kb_from_document(doc) -> KnowledgeBase:
             raise _load_error(f"exceptions[{i}]: occurrences must be >= 1")
         if signature in kb._exceptions:
             raise _load_error(f"exceptions[{i}]: repeats the signature of an earlier entry")
-        # promotion is sticky and follows the threshold, as set_promotion_threshold does
-        kb._exceptions[signature] = ExceptionRecord(
-            signature, occurrences, promoted or occurrences >= threshold
-        )
+        kb._exceptions[signature] = ExceptionRecord(signature, occurrences, promoted)
 
+    kb.set_promotion_threshold(threshold)  # promotes any record that has reached it
     return kb
 
 

@@ -19,7 +19,7 @@ the baseline's count, and runs the mutated module's own test file first.
 
 Run from anywhere; it probes the repository it lives in:
 
-    python3 tools/mutation_probe.py [--jobs 2] [--modules tracker knowledge]
+    python3 tools/mutation_probe.py [--jobs 2]
 
 It prints each survivor as `file:line: mutation`, then killed/total per
 module.  Standard library only, besides the pytest the suite needs.
@@ -127,12 +127,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=2,
                         help="parallel workers, capped at the CPU count")
-    parser.add_argument("--modules", nargs="+", choices=MODULES, default=list(MODULES))
     args = parser.parse_args(argv)
     jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
     package = ROOT / "src" / "curiophys"
-    sources = {m: (package / f"{m}.py").read_text(encoding="utf-8") for m in args.modules}
+    sources = {m: (package / f"{m}.py").read_text(encoding="utf-8") for m in MODULES}
     plain = {m: ast.unparse(ast.parse(src)) for m, src in sources.items()}
     work = []  # (module, site index, line, mutation), by line within a module
     for module, source in sources.items():
@@ -183,7 +182,7 @@ def main(argv=None) -> int:
     for (module, _, line, mutation), dead in zip(work, killed):
         if not dead:
             print(f"src/curiophys/{module}.py:{line}: {mutation}")
-    for module in args.modules:
+    for module in MODULES:
         outcomes = [dead for (m, *_), dead in zip(work, killed) if m == module]
         print(f"{module}: {sum(outcomes)}/{len(outcomes)} killed")
     return 0
