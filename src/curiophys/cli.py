@@ -19,8 +19,10 @@ from typing import Optional, Sequence, Tuple
 from .config import ConfigError, RunConfig, load_config, with_overrides
 from .curiosity import EventError, encode_verdicts, process_stream
 from .ingest import (
+    OBJECT_SIZES,
     ScenarioError,
     ScenarioKind,
+    ScenarioSpec,
     TraceParseError,
     build_spec,
     generate_event,
@@ -59,17 +61,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write one synthetic event trace")
     gen.add_argument("--kind", required=True, choices=[k.value for k in ScenarioKind])
+    spec = ScenarioSpec  # its class attributes are its field defaults
     gen.add_argument(
         "--class",
         dest="object_class",
-        default="sphere",
-        choices=["sphere", "cone", "cube"],
-        help="object class (default sphere)",
+        default=spec.object_class.value,
+        choices=[c.value for c in OBJECT_SIZES],
+        help=f"object class (default {spec.object_class.value})",
     )
-    gen.add_argument("--frames", type=int, default=90, help="frame count (default 90)")
-    gen.add_argument("--noise", type=float, default=0.0, help="center jitter sigma in px")
-    gen.add_argument("--velocity", default="3,0", metavar="VX,VY", help="per-frame velocity")
-    gen.add_argument("--confidence", type=float, default=0.6, help="detection confidence")
+    frames = spec.frame_count
+    gen.add_argument("--frames", type=int, default=frames, help=f"frame count (default {frames})")
+    gen.add_argument("--noise", type=float, default=spec.noise_sigma, help="center jitter sigma in px")
+    velocity = ",".join(map(str, spec.velocity))  # parsed in cmd_generate, so a bad one exits 1
+    gen.add_argument("--velocity", default=velocity, metavar="VX,VY", help="per-frame velocity")
+    gen.add_argument("--confidence", type=float, default=spec.confidence, help="detection confidence")
 
     cls = sub.add_parser("classify", help="run the pipeline over trace files")
     cls.add_argument("traces", nargs="*", metavar="TRACE", help="trace files")
@@ -167,9 +172,20 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
 
     os.makedirs(config.out_dir, exist_ok=True)
     report_path = os.path.join(config.out_dir, "verdicts.jsonl")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(encode_verdicts(results))
-    save_kb_file(kb, kb_path)
+    # staged, and renamed into place only once the KB is saved: no report if it fails
+    staged = os.path.join(config.out_dir, ".verdicts.jsonl.tmp")
+    try:
+        with open(staged, "w", encoding="utf-8") as fh:
+            fh.write(encode_verdicts(results))
+        try:
+            save_kb_file(kb, kb_path)
+        except OSError as exc:  # name the KB, not save_kb_file's temp file
+            raise CliError(f"cannot write knowledge base {kb_path}: {exc.strerror or exc}") from None
+        os.replace(staged, report_path)
+    except BaseException:
+        if os.path.exists(staged):
+            os.unlink(staged)
+        raise
 
     failed = 0
     for result in results:

@@ -130,10 +130,7 @@ def config_from_document(doc) -> RunConfig:
     unknown = sorted(set(doc) - _FIELD_NAMES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return RunConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(**doc)
 
 
 def load_config(path) -> RunConfig:

@@ -76,30 +76,13 @@ PATH_CLEARANCE = 10.0
 
 
 @dataclass(frozen=True)
-class Rect:
-    """Axis-aligned rectangle, top-left origin."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def contains(self, point: Tuple[float, float]) -> bool:
-        px, py = point
-        return self.x <= px <= self.x + self.w and self.y <= py <= self.y + self.h
-
-    def as_bbox(self) -> Tuple[float, float, float, float]:
-        return (self.x, self.y, self.w, self.h)
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
-    """Recipe for one synthetic event."""
+    """Recipe for one synthetic event; occluder is a wall bbox (x, y, w, h)."""
 
     kind: ScenarioKind
     object_class: ObjectClass = ObjectClass.SPHERE
     frame_count: int = 90
-    occluder: Optional[Rect] = None
+    occluder: Optional[Tuple[float, float, float, float]] = None
     velocity: Tuple[float, float] = (3.0, 0.0)
     seed: int = 0
     noise_sigma: float = 0.0
@@ -183,8 +166,8 @@ def _check_path_in_bounds(spec: ScenarioSpec, centers: list[Tuple[float, float]]
             )
 
 
-def default_occluder(spec: ScenarioSpec) -> Rect:
-    """Wall rectangle covering the mid-path, sized to hide the object center
+def default_occluder(spec: ScenarioSpec) -> Tuple[float, float, float, float]:
+    """Wall bbox covering the mid-path, sized to hide the object center
     for roughly frames [0.45N, 0.62N] and nothing outside that window."""
     centers = _scripted_centers(replace(spec, kind=ScenarioKind.POSSIBLE_VISIBLE, occluder=None))
     t1 = max(1, int(0.45 * spec.frame_count))
@@ -197,11 +180,12 @@ def default_occluder(spec: ScenarioSpec) -> Rect:
     pad_y = 0.4 * abs(vy)
     x0, x1 = min(xs) - pad_x, max(xs) + pad_x
     y0, y1 = min(ys) - pad_y, max(ys) + pad_y
-    if vx == 0 and x1 - x0 < 30:
+    # a still axis has one position, which the wall covers at a fixed size
+    if vx == 0:
         x0, x1 = (x0 + x1) / 2 - 15, (x0 + x1) / 2 + 15
-    if vy == 0 and y1 - y0 < 30:
+    if vy == 0:
         y0, y1 = (y0 + y1) / 2 - 30, (y0 + y1) / 2 + 30
-    return Rect(round(x0, 3), round(y0, 3), round(x1 - x0, 3), round(y1 - y0, 3))
+    return (round(x0, 3), round(y0, 3), round(x1 - x0, 3), round(y1 - y0, 3))
 
 
 def build_spec(kind: ScenarioKind, **kwargs) -> ScenarioSpec:
@@ -249,8 +233,10 @@ def generate_event(spec: ScenarioSpec) -> EventTrace:
         visible = True
         if spec.kind is ScenarioKind.IMPOSSIBLE_DISAPPEAR and t >= violation_at:
             visible = False
-        if spec.occluder is not None and spec.occluder.contains((cx, cy)):
-            visible = False
+        if spec.occluder is not None:
+            ox, oy, ow, oh = spec.occluder
+            if ox <= cx <= ox + ow and oy <= cy <= oy + oh:
+                visible = False
 
         if visible:
             bbox = (round(cx - w / 2, 4), round(cy - h / 2, 4), w, h)
@@ -261,7 +247,7 @@ def generate_event(spec: ScenarioSpec) -> EventTrace:
         if spec.occluder is not None:
             detections.append(
                 Detection.build(
-                    ObjectClass.WALL, WALL_CONFIDENCE, spec.occluder.as_bbox(), scene=spec.scene
+                    ObjectClass.WALL, WALL_CONFIDENCE, spec.occluder, scene=spec.scene
                 )
             )
 
@@ -488,9 +474,10 @@ def _accept_detection(obj, length: Optional[int], area: float) -> Optional[Detec
         return None
     descriptor = obj.get("shape_descriptor")
     if descriptor is None:
-        # Detection.build's derived descriptor, which overflows for extreme boxes
+        # Detection.build's derived descriptor, which overflows for extreme
+        # boxes; with w and h finite and > 0 it is never -inf or NaN
         aspect, share = w / h, (w * h) / area
-        if not (length == 2 and -_INF < aspect < _INF and -_INF < share < _INF):
+        if not (length == 2 and aspect < _INF and share < _INF):
             return None
         return Detection(cls, confidence, (x, y, w, h), (aspect, share))
     if type(descriptor) is not list or len(descriptor) != length:

@@ -40,8 +40,7 @@ def _escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Round-valued ticks inside [lo, hi], for lo < hi."""
     # halved, so a span wider than the float range does not overflow
     raw_step = (hi / 2 - lo / 2) / target * 2
     mag = 10 ** math.floor(math.log10(raw_step))
@@ -79,11 +78,12 @@ def _tick_labels(ticks: Sequence[float]) -> list[str]:
 
 
 class _Panel:
-    """Maps (frame, value) to pixel coordinates for one stacked panel."""
+    """Maps (frame, value) to pixel coordinates for one stacked panel whose
+    frame axis runs from 0 to last (> 0)."""
 
-    def __init__(self, top: float, frames: Tuple[float, float], values: Tuple[float, float]):
+    def __init__(self, top: float, last: int, values: Tuple[float, float]):
         self.top = top
-        self.f_lo, self.f_hi = frames
+        self.last = last
         lo, hi = values
         if hi - lo < 1e-9:
             # wide enough to survive rounding at the value's magnitude
@@ -95,9 +95,7 @@ class _Panel:
         self.v_hi = min(hi + pad, sys.float_info.max)
 
     def fx(self, frame: float) -> float:
-        if self.f_hi == self.f_lo:
-            return _MARGIN_L + _PANEL_W / 2
-        return _MARGIN_L + (frame - self.f_lo) / (self.f_hi - self.f_lo) * _PANEL_W
+        return _MARGIN_L + frame / self.last * _PANEL_W
 
     def fy(self, value: float) -> float:
         span = self.v_hi / 2 - self.v_lo / 2
@@ -145,7 +143,8 @@ def _panel_svg(
     for track in tracks:
         values.extend(c[axis] for c in track.centers_predicted)
         values.extend(det.center[axis] for _, det in track.observed())
-    panel = _Panel(top, (0.0, max(frame_count - 1, 1)), (min(values), max(values)))
+    last = max(frame_count - 1, 1)
+    panel = _Panel(top, last, (min(values), max(values)))
 
     parts = [
         f'<rect x="{_MARGIN_L}" y="{top}" width="{_PANEL_W}" height="{_PANEL_H}" '
@@ -176,7 +175,7 @@ def _panel_svg(
             f'<text x="{_MARGIN_L - 7}" y="{y + 3:.2f}" text-anchor="end" '
             f'font-size="10">{text}</text>'
         )
-    ticks = _nice_ticks(0, max(frame_count - 1, 1))
+    ticks = _nice_ticks(0, last)
     for tick, text in zip(ticks, _tick_labels(ticks)):
         x = panel.fx(tick)
         y = top + _PANEL_H

@@ -46,6 +46,8 @@ def test_generate_rejects_bad_arguments(tmp_path, capsys):
     assert "two numbers" in capsys.readouterr().err
     assert main(args + ["--velocity", "nan,0"]) == 1
     assert "velocity must be two finite numbers" in capsys.readouterr().err
+    assert main(args + ["--velocity", "1,2,3"]) == 1
+    assert capsys.readouterr().err == "error: --velocity expects 'vx,vy', got '1,2,3'\n"
 
 
 def test_classify_writes_verdicts_and_kb(tmp_path, capsys):
@@ -116,6 +118,25 @@ def test_classify_corrupt_kb_fails_without_touching_it(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert kb_path.read_bytes() == b"{broken"
     assert not (tmp_path / "verdicts.jsonl").exists()
+
+
+@pytest.mark.parametrize("old_report", [None, b"old\n"])
+def test_classify_writes_no_report_when_the_kb_cannot_be_saved(tmp_path, capsys, old_report):
+    trace = str(_generate(tmp_path / "in"))
+    out_dir = tmp_path / "res"
+    out_dir.mkdir()
+    if old_report is not None:
+        (out_dir / "verdicts.jsonl").write_bytes(old_report)
+    kb_path = tmp_path / "missing" / "kb.json"
+    capsys.readouterr()
+    assert main(["--out", str(out_dir), "--kb", str(kb_path), "classify", trace]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write knowledge base {kb_path}: No such file or directory\n"
+    )
+    # no report and no staged temp file; an old report is left as it was
+    assert [p.name for p in out_dir.iterdir()] == ([] if old_report is None else ["verdicts.jsonl"])
+    if old_report is not None:
+        assert (out_dir / "verdicts.jsonl").read_bytes() == old_report
 
 
 def test_classify_rejects_a_null_event_id(tmp_path, capsys):
@@ -268,6 +289,14 @@ def test_plot_rejects_verdict_reports(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "plot", str(report)]) == 1
     err = capsys.readouterr().err
     assert "verdict report" in err and "trace file" in err
+
+
+def test_plot_reports_a_parse_error_after_a_trace_header(tmp_path, capsys):
+    path = tmp_path / "late.jsonl"
+    path.write_text('{"event_id": "e", "frame_count": 2}\n{"frame_index": 0}\n{broken\n')
+    assert main(["--out", str(tmp_path), "plot", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: line 3: invalid JSON") and "verdict report" not in err
 
 
 @pytest.mark.parametrize("absolute", [False, True])
@@ -457,6 +486,27 @@ def test_config_promotion_threshold_applies_to_fresh_kb(tmp_path):
     config.write_text(json.dumps({"promotion_threshold": 7}))
     assert main(["--config", str(config), "--out", str(tmp_path), "kb", "reset"]) == 0
     assert load_kb_file(tmp_path / "kb.json").promotion_threshold == 7
+
+
+def test_config_promotion_threshold_applies_to_an_existing_kb(tmp_path):
+    # a pending record at 2 occurrences is promoted once the threshold is 2
+    record = {
+        "violation_kinds": ["vanish"],
+        "occluder_present": False,
+        "verdict_agent": "impossible",
+        "verdict_ground_truth": "possible",
+        "occurrences": 2,
+        "promoted": False,
+    }
+    doc = {"version": 1, "promotion_threshold": 3, "exceptions": [record]}
+    (tmp_path / "kb.json").write_text(json.dumps(doc))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"promotion_threshold": 2}))
+    trace = str(_generate(tmp_path / "in"))
+    assert main(["--config", str(config), "--out", str(tmp_path), "classify", trace]) == 0
+    kb = load_kb_file(tmp_path / "kb.json")
+    assert kb.promotion_threshold == 2
+    assert [(r.occurrences, r.promoted) for r in kb.exceptions()] == [(2, True)]
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

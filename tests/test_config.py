@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from curiophys import ObjectClass, WeightConfig
-from curiophys.config import ConfigError, RunConfig, config_from_document
+from curiophys.config import ConfigError, RunConfig, config_from_document, load_config
 from curiophys.curiosity import CuriosityParams
 from curiophys.trace_model import SceneBounds
 from curiophys.tracker import TrackerParams
@@ -160,3 +160,30 @@ def test_every_parameter_field_has_exactly_one_config_key():
         assert changed[0] not in reached_by, (key, reached_by)
         reached_by[changed[0]] = key
     assert set(reached_by) == set(defaults)
+
+
+def test_a_promotion_threshold_of_one_is_accepted():
+    assert config_from_document({"promotion_threshold": 1}).promotion_threshold == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (["alpha"], "config must be a single JSON object"),
+        ({"sigma": 2.0}, "unknown config keys: sigma"),
+        ({"sigma": 2.0, "mode": "x", "seed": 1}, "unknown config keys: mode, sigma"),
+    ],
+)
+def test_documents_that_are_not_a_config_are_refused_by_name(doc, message):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_document(doc)
+    assert str(excinfo.value) == message
+
+
+def test_unreadable_and_invalid_config_files_are_config_errors(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config .*missing.json"):
+        load_config(tmp_path / "missing.json")
+    path = tmp_path / "broken.json"
+    path.write_text("{broken")
+    with pytest.raises(ConfigError, match="config .*broken.json is not valid JSON"):
+        load_config(path)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import curiophys
 from curiophys.config import RunConfig
+from curiophys.ingest import ScenarioSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +45,17 @@ def test_readme_config_defaults_are_the_run_config_defaults():
     section = text.split("## Configuration\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     assert json.loads(block) == dataclasses.asdict(RunConfig())
+
+
+def test_readme_generate_defaults_are_the_scenario_spec_defaults():
+    row = next(line for line in README.read_text(encoding="utf-8").splitlines()
+               if line.startswith("| `generate"))
+    shown = dict(re.findall(r"`--(\w+)[^`]*` \([^)]*default `?([^`;)]+)`?\)", row))
+    spec = ScenarioSpec
+    assert shown == {
+        "class": spec.object_class.value,
+        "frames": str(spec.frame_count),
+        "velocity": "%g,%g" % spec.velocity,
+        "noise": "%g" % spec.noise_sigma,
+        "confidence": "%g" % spec.confidence,
+    }

@@ -9,7 +9,6 @@ import pytest
 from curiophys import ObjectClass, ScenarioKind, build_spec, encode_trace, generate_event, parse_trace
 from curiophys import ingest
 from curiophys.ingest import (
-    Rect,
     ScenarioError,
     ScenarioSpec,
     TraceParseError,
@@ -78,7 +77,8 @@ def test_occluded_gap_matches_occluder_geometry():
         walls = [d for d in frame if d.object_class is ObjectClass.WALL]
         assert len(walls) == 1  # occluder detected every frame
         if objects:
-            assert not spec.occluder.contains(objects[0].center)
+            (cx, cy), (ox, oy, ow, oh) = objects[0].center, spec.occluder
+            assert not (ox <= cx <= ox + ow and oy <= cy <= oy + oh)
     gaps = [t for t, f in enumerate(trace.frames) if len(f) == 1]
     assert gaps == list(range(min(gaps), max(gaps) + 1))  # one contiguous gap
     assert 0 < min(gaps) and max(gaps) < trace.frame_count - 1
@@ -141,7 +141,7 @@ def test_scenario_spec_validation():
     with pytest.raises(ScenarioError, match="occluder"):
         generate_event(
             ScenarioSpec(
-                ScenarioKind.IMPOSSIBLE_DISAPPEAR, occluder=Rect(0, 0, 50, 50)
+                ScenarioKind.IMPOSSIBLE_DISAPPEAR, occluder=(0, 0, 50, 50)
             )
         )
     with pytest.raises(ScenarioError, match="wall"):
@@ -172,6 +172,73 @@ def test_build_spec_fills_default_occluder():
     spec = build_spec(ScenarioKind.POSSIBLE_OCCLUDED)
     assert spec.occluder is not None
     assert spec.occluder == default_occluder(spec)
+
+
+@pytest.mark.parametrize(
+    "velocity, start",
+    [((3.0, 0.0), (40.0, 180.0)), ((-2.0, 0.0), (600.0, 180.0)), ((0.0, -1.0), (320.0, 320.0)),
+     ((0.0, 2.0), (320.0, 40.0)), ((0.0, 0.0), (320.0, 180.0))],
+)
+def test_a_path_starts_at_the_edge_it_moves_away_from(velocity, start):
+    # per axis: v > 0 starts at the margin, v < 0 at extent - margin, v = 0 at the centre
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=velocity))
+    assert trace.frames[0][0].center == start
+
+
+def test_generator_limits_are_inclusive():
+    assert generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, frame_count=10)).frame_count == 10
+    for confidence in (0.0, 1.0):
+        trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, confidence=confidence))
+        assert trace.frames[0][0].confidence == confidence
+    with pytest.raises(ScenarioError, match=r"confidence must be in \[0, 1\], got 1.5"):
+        generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, confidence=1.5))
+    # paths that end exactly PATH_CLEARANCE (10 px) from each edge
+    for velocity, frames, end in (
+        ((1.0, 0.0), 591, (630.0, 180.0)),
+        ((-1.0, 0.0), 591, (10.0, 180.0)),
+        ((0.0, 1.0), 311, (320.0, 350.0)),
+        ((0.0, -1.0), 311, (320.0, 10.0)),
+    ):
+        trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=velocity, frame_count=frames))
+        assert trace.frames[-1][0].center == end
+
+
+def test_a_still_teleport_jumps_along_x():
+    spec = build_spec(ScenarioKind.IMPOSSIBLE_TELEPORT, velocity=(0.0, 0.0))
+    trace = generate_event(spec)
+    cut = scripted_violation_frame(spec)
+    assert trace.frames[cut - 1][0].center == (320.0, 180.0)
+    assert trace.frames[cut][0].center == (348.0, 180.0)
+
+
+def test_default_occluder_covers_the_mid_path_at_a_fixed_cross_size():
+    assert default_occluder(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=(0.0, 1.0))) == (
+        305.0, 79.6, 30.0, 15.8
+    )
+    assert default_occluder(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=(1.0, 0.0))) == (
+        79.6, 150.0, 15.8, 60.0
+    )
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_OCCLUDED))
+    assert trace.ground_truth.object_classes == (ObjectClass.SPHERE, ObjectClass.WALL)
+
+
+@pytest.mark.parametrize(
+    "occluder, hidden",
+    [
+        ((320.0, 170.0, 10.0, 20.0), True),  # centre on the left edge
+        ((310.0, 170.0, 10.0, 20.0), True),  # on the right edge
+        ((310.0, 180.0, 20.0, 10.0), True),  # on the top edge
+        ((310.0, 170.0, 20.0, 10.0), True),  # on the bottom edge
+        ((math.nextafter(320.0, 400.0), 170.0, 10.0, 20.0), False),
+        ((310.0, math.nextafter(170.0, 0.0), 20.0, 10.0), False),
+    ],
+)
+def test_an_occluder_hides_a_centre_on_its_edges(occluder, hidden):
+    # a still object at the scene centre (320, 180)
+    spec = ScenarioSpec(ScenarioKind.POSSIBLE_VISIBLE, velocity=(0.0, 0.0), occluder=occluder)
+    trace = generate_event(spec)
+    classes = {d.object_class for frame in trace.frames for d in frame}
+    assert classes == ({ObjectClass.WALL} if hidden else {ObjectClass.SPHERE, ObjectClass.WALL})
 
 
 def test_event_ids_unique_across_kinds_classes_seeds():
@@ -208,6 +275,19 @@ def test_parse_rejects_malformed_lines():
             header
             + '{"frame_index": 0, "detections": [{"class": "blob", "confidence": 0.5, "bbox": [1, 2, 3, 4]}]}\n'
         )
+    with pytest.raises(TraceParseError, match="^line 2: record must be a JSON object$"):
+        parse_trace(header + "[1]\n")
+    with pytest.raises(TraceParseError, match="^line 2: detections must be an array$"):
+        parse_trace(header + '{"frame_index": 0, "detections": 5}\n')
+    for ground_truth, message in (
+        (5, "ground_truth must be an object"),
+        ({"possible": True, "object_classes": "sphere"}, "ground_truth.object_classes must be an array"),
+        ({"possible": True, "object_classes": ["blob"]}, "unknown object class 'blob'"),
+    ):
+        labelled = json.dumps({"event_id": "e", "frame_count": 1, "ground_truth": ground_truth})
+        with pytest.raises(TraceParseError) as excinfo:
+            parse_trace(labelled + '\n{"frame_index": 0}\n')
+        assert str(excinfo.value) == f"line 1: {message}"
 
 
 def test_parse_rejects_bytes_that_are_not_utf8(tmp_path):

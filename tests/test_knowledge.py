@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 
 import pytest
@@ -371,6 +372,21 @@ def test_kb_file_round_trip_and_atomicity(tmp_path):
     kb.update_stats(S, 9.0)
     save_kb_file(kb, path)
     assert _stats_of(load_kb_file(path), S).count == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
+
+
+def test_a_failed_kb_save_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "kb.json"
+    save_kb_file(KnowledgeBase(), path)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        save_kb_file(_populated_kb(), path)
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["kb.json"]
 
 

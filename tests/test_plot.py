@@ -10,7 +10,7 @@ import pytest
 import curiophys
 from curiophys import ObjectClass, ScenarioKind, build_spec, generate_event, track_event
 from curiophys.ingest import write_trace_file
-from curiophys.plot import _tick_labels, plot_event, render_event_svg, write_track_csv
+from curiophys.plot import _nice_ticks, _tick_labels, plot_event, render_event_svg, write_track_csv
 from curiophys.tracker import trace_discontinuities
 from curiophys.trace_model import Detection, EventTrace
 from trace_builders import ObjectScript, build_trace, linear_script
@@ -191,6 +191,21 @@ def test_tick_labels_tell_ticks_apart_far_from_zero(xs):
 def test_tick_labels_add_digits_only_where_g_repeats():
     assert _tick_labels([-50.0, 0.0, 50.0, 100.0, 150.0]) == ["-50", "0", "50", "100", "150"]
     assert _tick_labels([1000012.0, 1000013.0]) == ["1000012", "1000013"]
+    assert _tick_labels([0.1, 0.2]) == ["0.1", "0.2"]
+
+
+def test_ticks_take_the_smallest_round_step_that_fits():
+    assert _nice_ticks(0, 50) == [0, 10, 20, 30, 40, 50]
+    assert _nice_ticks(0, 89) == [0, 20, 40, 60, 80]
+
+
+def test_tracks_span_the_panel_from_the_first_frame_to_the_last():
+    svg = _render(generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE)))
+    lines = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len(lines) == 4  # observed and predicted, two panels
+    for points in lines:
+        xs = [p.split(",")[0] for p in points.split()]
+        assert (xs[0], xs[-1]) == ("56.00", "696.00")
 
 
 def test_track_csv_rows():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from curiophys import ObjectClass
@@ -11,6 +13,7 @@ from curiophys.trace_model import (
     SceneBounds,
     default_profiles,
     default_shape_descriptor,
+    is_finite_number,
 )
 
 from trace_builders import build_trace, detection, linear_script
@@ -162,3 +165,9 @@ def test_validate_trace_flags_empty_and_bad_ground_truth():
 def test_frame_count_property():
     trace = build_trace("n", 7, [linear_script((50, 100), (3, 0), range(7))])
     assert trace.frame_count == 7
+
+
+def test_an_int_is_a_finite_number_up_to_the_largest_float():
+    largest = int(sys.float_info.max)
+    assert is_finite_number(largest) and is_finite_number(-largest)
+    assert not is_finite_number(largest + 1)
