@@ -92,6 +92,7 @@ def test_every_key_reaches_its_derived_field():
         ("scene_width", -640, "scene width must be > 0, got -640"),
         ("scene_height", 0.0, "scene height must be > 0, got 0.0"),
         ("scene_height", -360.0, "scene height must be > 0, got -360.0"),
+        ("sigma", 2.0, "^unknown config keys: sigma$"),
     ],
 )
 def test_invalid_values_are_config_errors(key, value, message):
@@ -166,18 +167,9 @@ def test_a_promotion_threshold_of_one_is_accepted():
     assert config_from_document({"promotion_threshold": 1}).promotion_threshold == 1
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        (["alpha"], "config must be a single JSON object"),
-        ({"sigma": 2.0}, "unknown config keys: sigma"),
-        ({"sigma": 2.0, "mode": "x", "seed": 1}, "unknown config keys: mode, sigma"),
-    ],
-)
-def test_documents_that_are_not_a_config_are_refused_by_name(doc, message):
-    with pytest.raises(ConfigError) as excinfo:
-        config_from_document(doc)
-    assert str(excinfo.value) == message
+def test_a_document_that_is_not_an_object_is_refused():
+    with pytest.raises(ConfigError, match="^config must be a single JSON object$"):
+        config_from_document(["alpha"])
 
 
 def test_unreadable_and_invalid_config_files_are_config_errors(tmp_path):

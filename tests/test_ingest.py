@@ -199,8 +199,8 @@ def test_generator_limits_are_inclusive():
         ((0.0, 1.0), 311, (320.0, 350.0)),
         ((0.0, -1.0), 311, (320.0, 10.0)),
     ):
-        trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=velocity, frame_count=frames))
-        assert trace.frames[-1][0].center == end
+        spec = build_spec(ScenarioKind.POSSIBLE_VISIBLE, velocity=velocity, frame_count=frames)
+        assert generate_event(spec).frames[-1][0].center == end
 
 
 def test_a_still_teleport_jumps_along_x():

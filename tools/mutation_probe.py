@@ -23,7 +23,7 @@ Run from anywhere; it probes the repository it lives in:
 
 It prints each survivor as `file:line: mutation`, then killed/total per
 module.  Standard library only, besides the pytest the suite needs.  About
-20 minutes on two workers.
+20-25 minutes on two workers.
 """
 from __future__ import annotations
 
