@@ -69,7 +69,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if value is not None and not is_integer(value):
+            if not (is_integer(value) or (value is None and name == "promotion_threshold")):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")

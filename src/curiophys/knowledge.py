@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -380,10 +379,13 @@ def load_kb(data: bytes) -> KnowledgeBase:
 
 def save_kb_file(kb: KnowledgeBase, path) -> None:
     """Atomic write: the file at path is either the old or the new KB,
-    never a partial one."""
+    never a partial one.  The staged file is created as open() creates one,
+    mode 0666 less the umask (mkstemp would make it 0600), and never
+    replaces an existing file."""
     payload = save_kb(kb)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".kb-", suffix=".tmp")
+    tmp_path = os.path.join(directory, f".kb-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

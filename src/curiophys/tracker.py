@@ -8,6 +8,16 @@ occlusion and what gives the curiosity layer a predicted center to test
 against occluder geometry.  The filter is a closed-form per-axis Kalman
 filter: with isotropic noise both axes share one 2x2 covariance exactly.
 
+With fixed P0, Q and R the covariance and the gains depend only on the
+order of predicts and updates, never on the measurements (Kalman 1960).
+So covariance states are shared: each TrackerParams interns the states its
+filters reach by their exact floats, checks each once when it is first
+reached, and links it to its successors, so a step taken before costs a
+read.  Tracks with one history share one state, and an observed track
+settles on a fixed point (after 30 steps with the defaults).  The table
+holds at most SHARED_STATES states; past that a new state is computed and
+checked on every reach.
+
 gap_centers, the one gap model, says where an object was in a frame
 without a detection; the curiosity layer reads gap positions only there.
 
@@ -41,7 +51,8 @@ _step_pool applies it to a pool of one track and one detection, such as
 an object passing a wall.
 
 Track.velocities is not stored per frame: it replays a fresh filter over
-the track's detections, which gives the live filter's floats.
+the track's detections, through the same shared states, which gives the
+live filter's floats.
 
 A shape switch needs SHAPE_SWITCH_MIN_RUN consecutive observations of a
 new class, so a single misclassified frame is not a break.
@@ -52,6 +63,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -62,6 +74,11 @@ COVARIANCE_TOL = 1e-9
 
 # Consecutive observations of a new class that make a shape switch.
 SHAPE_SWITCH_MIN_RUN = 3
+
+# Filter covariance states kept per TrackerParams: about 0.63 MB, at the
+# 307 B a state tracemalloc reads on 64-bit CPython 3.11.  Past it a new
+# state is built and checked but neither stored nor linked.
+SHARED_STATES = 2048
 
 
 class CovarianceError(RuntimeError):
@@ -88,6 +105,12 @@ class TrackerParams:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
+    @cached_property
+    def _covariances(self) -> _CovarianceTable:
+        """The filter covariance states these parameters reach, shared by
+        every filter built with them."""
+        return _CovarianceTable(self)
+
 
 def _check_covariance(a: float, b: float, d: float) -> None:
     """Raise unless [[a, b], [b, d]] is PSD within tolerance; NaN fails."""
@@ -98,6 +121,73 @@ def _check_covariance(a: float, b: float, d: float) -> None:
         )
 
 
+class _Covariance:
+    """One filter covariance [[a, b], [b, d]], shared by every filter that
+    reaches it and never changed.  predicted links the state after a
+    predict and updated the gains and state after an update, each filled
+    on first use and only with a state the table keeps."""
+
+    __slots__ = ("a", "b", "d", "table", "predicted", "updated")
+
+    def __init__(self, a: float, b: float, d: float, table: _CovarianceTable):
+        _check_covariance(a, b, d)
+        self.a, self.b, self.d = a, b, d
+        self.table = table
+        self.predicted: Optional[_Covariance] = None
+        self.updated: Optional[Tuple[float, float, _Covariance]] = None
+
+    def predict(self) -> _Covariance:
+        """The state after a predict."""
+        a, b, d = self.a, self.b, self.d
+        q = self.table.q
+        state, kept = self.table.intern(a + 2.0 * b + d + q, b + d, d + q)
+        if kept:
+            self.predicted = state
+        return state
+
+    def update(self) -> Tuple[float, float, _Covariance]:
+        """The position and velocity gains and the state after an update."""
+        a, b, r = self.a, self.b, self.table.r
+        s = a + r
+        kp, kv = a / s, b / s
+        # Standard form (I - KH)P; with the optimal gain it equals the
+        # Joseph form and stays PSD: a' = r*a/s and det' = (r/s)*det.
+        state, kept = self.table.intern(r * kp, r * kv, self.d - b * kv)
+        step = (kp, kv, state)
+        if kept:
+            self.updated = step
+        return step
+
+
+class _CovarianceTable:
+    """The covariance states one TrackerParams reaches, interned by their
+    exact (a, b, d), so histories that reach equal floats share a state
+    and a fixed point closes into a loop.  Holds at most SHARED_STATES."""
+
+    __slots__ = ("q", "r", "states", "initial")
+
+    def __init__(self, params: TrackerParams):
+        self.q = params.process_noise
+        self.r = params.measurement_noise
+        self.states: dict[Tuple[float, float, float], _Covariance] = {}
+        p0 = params.initial_variance
+        self.initial = self.intern(p0, 0.0, p0)[0]
+
+    def intern(self, a: float, b: float, d: float) -> Tuple[_Covariance, bool]:
+        """The state (a, b, d) and whether the table holds it.  A state
+        that fails the check raises and is never stored, so every filter
+        that reaches it raises at the same step."""
+        key = (a, b, d)
+        state = self.states.get(key)
+        if state is not None:
+            return state, True
+        state = _Covariance(a, b, d, self)
+        if len(self.states) >= SHARED_STATES:
+            return state, False
+        self.states[key] = state
+        return state, True
+
+
 class PointFilter:
     """Kalman filter over [x, y, vx, vy] with position measurements.
 
@@ -105,6 +195,11 @@ class PointFilter:
     position is measured, and P0, Q and R are scalars times the identity,
     so x and y never correlate and both axes share one (position,
     velocity) covariance [[a, b], [b, d]].
+
+    The covariance is a shared, immutable state from the params' table
+    of at most SHARED_STATES, checked once when first reached; a step
+    taken before reads the state's linked successor.  a, b and d read
+    the state.
 
     Born from a single detection: position from the detection center,
     velocity zero, diagonal covariance.  No measurement update is applied
@@ -114,39 +209,42 @@ class PointFilter:
     def __init__(self, center: Tuple[float, float], params: TrackerParams):
         self.x, self.y = center
         self.vx = self.vy = 0.0
-        self.a = self.d = params.initial_variance
-        self.b = 0.0
-        self._q = params.process_noise
-        self._r = params.measurement_noise
+        self.covariance = params._covariances.initial
 
     def predict(self) -> Tuple[float, float]:
         self.x += self.vx
         self.y += self.vy
-        a, b, d, q = self.a, self.b, self.d, self._q
-        self.a, self.b, self.d = a + 2.0 * b + d + q, b + d, d + q
-        _check_covariance(self.a, self.b, self.d)
+        cov = self.covariance
+        self.covariance = cov.predicted or cov.predict()
         return (self.x, self.y)
 
     def update(self, z: Tuple[float, float]) -> float:
         """Fold in a position measurement; returns the innovation norm (px)."""
         ix = z[0] - self.x
         iy = z[1] - self.y
-        a, b, r = self.a, self.b, self._r
-        s = a + r
-        kp, kv = a / s, b / s
+        cov = self.covariance
+        kp, kv, self.covariance = cov.updated or cov.update()
         self.x += kp * ix
         self.y += kp * iy
         self.vx += kv * ix
         self.vy += kv * iy
-        # Standard form (I - KH)P; with the optimal gain it equals the
-        # Joseph form and stays PSD: a' = r*a/s and det' = (r/s)*det.
-        self.a, self.b, self.d = r * kp, r * kv, self.d - b * kv
-        _check_covariance(self.a, self.b, self.d)
         return math.hypot(ix, iy)
 
     @property
     def velocity(self) -> Tuple[float, float]:
         return (self.vx, self.vy)
+
+    @property
+    def a(self) -> float:
+        return self.covariance.a
+
+    @property
+    def b(self) -> float:
+        return self.covariance.b
+
+    @property
+    def d(self) -> float:
+        return self.covariance.d
 
 
 class Track:

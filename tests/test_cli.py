@@ -93,6 +93,18 @@ def test_classify_is_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_classify_writes_the_kb_and_the_report_with_the_same_mode(tmp_path):
+    trace = str(_generate(tmp_path))
+    out_dir = tmp_path / "res"
+    umask = os.umask(0o027)
+    try:
+        assert main(["--out", str(out_dir), "classify", trace]) == 0
+    finally:
+        os.umask(umask)
+    modes = [(out_dir / name).stat().st_mode & 0o777 for name in ("kb.json", "verdicts.jsonl")]
+    assert modes == [0o640, 0o640]
+
+
 def test_classify_respects_kb_flag(tmp_path):
     trace = str(_generate(tmp_path))
     kb_path = tmp_path / "custom" / "kb-main.json"

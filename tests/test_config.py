@@ -124,6 +124,7 @@ NAN, INF = float("nan"), float("inf")
         ("seed", True, "seed must be an integer"),
         ("promotion_threshold", True, "promotion_threshold must be an integer"),
         ("beta", 10**400, "beta must be a finite number"),  # too large for a float
+        ("seed", None, "seed must be an integer, got None"),  # only the threshold may be null
     ],
 )
 def test_non_finite_numbers_and_booleans_are_config_errors(key, value, message):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from curiophys.ingest import scripted_violation_frame
 from curiophys.trace_model import CLASS_ORDER, Detection, EventTrace, class_order_index
 from curiophys.tracker import (
     SHAPE_SWITCH_MIN_RUN,
+    SHARED_STATES,
     CovarianceError,
     Discontinuity,
     DiscontinuityKind,
@@ -309,15 +311,161 @@ def test_covariance_contract_guard():
         with pytest.raises(CovarianceError, match="not positive semi-definite"):
             _check_covariance(*bad)
 
-    # the filter checks on every predict and every update
-    f = PointFilter((0.0, 0.0), TrackerParams())
-    f.b = 1000.0
-    with pytest.raises(CovarianceError):
+    # Bad states come from real parameters: a huge initial variance loses
+    # PSD to rounding on the second update, and an overflowing process
+    # noise fails on the second predict.  A state that fails is never
+    # shared, so a second filter with the same parameters raises at the
+    # same step.
+    rounding = TrackerParams(initial_variance=1e17)
+    overflow = TrackerParams(process_noise=1e308)
+    for _ in range(2):
+        f = PointFilter((0.0, 0.0), rounding)
         f.predict()
-    f = PointFilter((0.0, 0.0), TrackerParams())
-    f.a = nan
-    with pytest.raises(CovarianceError):
         f.update((1.0, 1.0))
+        f.predict()
+        shown = "[[2.000e+00, 2.000e+00], [2.000e+00, 0.000e+00]]"
+        with pytest.raises(CovarianceError, match=re.escape(shown)):
+            f.update((1.0, 1.0))
+        f = PointFilter((0.0, 0.0), overflow)
+        f.predict()
+        with pytest.raises(CovarianceError, match=re.escape("[[inf, 1.000e+308]")):
+            f.predict()
+
+
+class _ReferenceFilter:
+    """The filter's recurrence with nothing shared: every step computes its
+    covariance afresh and checks it."""
+
+    def __init__(self, center, params):
+        self.x, self.y = center
+        self.vx = self.vy = 0.0
+        self.a = self.d = params.initial_variance
+        self.b = 0.0
+        self.q, self.r = params.process_noise, params.measurement_noise
+
+    def predict(self):
+        self.x += self.vx
+        self.y += self.vy
+        a, b, d, q = self.a, self.b, self.d, self.q
+        self.a, self.b, self.d = a + 2.0 * b + d + q, b + d, d + q
+        _check_covariance(self.a, self.b, self.d)
+        return (self.x, self.y)
+
+    def update(self, z):
+        ix, iy = z[0] - self.x, z[1] - self.y
+        a, b, r = self.a, self.b, self.r
+        s = a + r
+        kp, kv = a / s, b / s
+        self.x += kp * ix
+        self.y += kp * iy
+        self.vx += kv * ix
+        self.vy += kv * iy
+        self.a, self.b, self.d = r * kp, r * kv, self.d - b * kv
+        _check_covariance(self.a, self.b, self.d)
+        return math.hypot(ix, iy)
+
+
+def _frame(f, z):
+    """A predict, then an update where z is given: the prediction, the
+    innovation and the filter's state after it, or the CovarianceError."""
+    try:
+        predicted = f.predict()
+        innovation = None if z is None else f.update(z)
+    except CovarianceError as exc:
+        return str(exc)
+    return (predicted, innovation, f.x, f.y, f.vx, f.vy, f.a, f.b, f.d)
+
+
+def test_shared_states_match_the_reference_recurrence(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # the large values reach the states that fail the check
+    noise = st.floats(0.01, 500.0) | st.sampled_from([1.0, 2.0, 100.0, 1e17, 1e20, 1e160, 1e308])
+    point = st.tuples(st.floats(-1000.0, 1000.0), st.floats(-1000.0, 1000.0))
+    track = st.tuples(point, st.lists(st.none() | point, max_size=60))
+    default_bound = tracker.SHARED_STATES
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(noise, noise, noise, st.lists(track, min_size=1, max_size=4))
+    def check(q, r, p0, tracks):
+        for bound in (default_bound, 8):
+            monkeypatch.setattr(tracker, "SHARED_STATES", bound)
+            params = TrackerParams(process_noise=q, measurement_noise=r, initial_variance=p0)
+            for center, measurements in tracks:
+                f, ref = PointFilter(center, params), _ReferenceFilter(center, params)
+                for z in measurements:
+                    outcome = _frame(f, z)
+                    assert outcome == _frame(ref, z)
+                    if isinstance(outcome, str):
+                        break
+            assert len(params._covariances.states) <= bound
+
+    check()
+
+
+def test_a_long_run_fills_the_shared_table_to_its_bound():
+    # a tenth of the frames missed: almost every state is new, and past
+    # the bound new states are still computed and checked, not kept
+    rng = random.Random(11)
+    params = TrackerParams()
+    for _ in range(100):
+        center = (rng.uniform(0, 640), rng.uniform(0, 360))
+        f, ref = PointFilter(center, params), _ReferenceFilter(center, params)
+        for t in range(1, 90):
+            z = None
+            if rng.random() >= 0.1:
+                z = (center[0] + 2.0 * t + rng.gauss(0, 0.5), center[1] + rng.gauss(0, 0.5))
+            assert _frame(f, z) == _frame(ref, z)
+    assert len(params._covariances.states) == SHARED_STATES
+
+
+def test_tracks_with_one_history_share_one_covariance_state():
+    # laid out like the crowded benchmark scene: 20 objects and 4 walls,
+    # each seen in every frame
+    walls = tuple(_unit_box((100.0 + 150.0 * k, 340.0), ObjectClass.WALL) for k in range(4))
+    frames = tuple(
+        tuple(
+            _unit_box((64.0 + 128.0 * c + 1.5 * t, 45.0 + 90.0 * r + 0.3 * t))
+            for r in range(4)
+            for c in range(5)
+        )
+        + walls
+        for t in range(8)
+    )
+    params = TrackerParams()
+    for end in range(1, len(frames) + 1):
+        tracks = track_event(EventTrace("grid", frames[:end], None), params)
+        objects = [t for t in tracks if not t.is_occluder]
+        assert [t.detected_frames for t in objects] == [end] * 20
+        assert len({id(t.filter.covariance) for t in objects}) == 1
+
+
+def test_a_repeated_history_reads_only_linked_states(monkeypatch):
+    params = TrackerParams()
+    trace = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, noise_sigma=0.5))
+    track = Track(0, 0, trace.frames[0][0], params)
+    states = [track.filter.covariance]
+    for (det,) in trace.frames[1:]:
+        track.observe(det, track.filter.predict(), det.center)
+        states.append(track.filter.covariance)
+    # observed every frame, the covariance reaches a fixed point
+    assert states[40] is states[39]
+
+    # another visible event steps through the same states: every predict
+    # and update reads its linked successor, so none computes one
+    computed = []
+    for name in ("predict", "update"):
+
+        def counted(self, _method=getattr(tracker._Covariance, name)):
+            computed.append(self)
+            return _method(self)
+
+        monkeypatch.setattr(tracker._Covariance, name, counted)
+    other = generate_event(build_spec(ScenarioKind.POSSIBLE_VISIBLE, noise_sigma=2.0))
+    (track,) = track_event(other, params)
+    assert track.detected_frames == other.frame_count
+    assert computed == []
 
 
 class _MatrixFilter:
