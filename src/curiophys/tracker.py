@@ -41,14 +41,16 @@ validate_trace admit; a box holding a NaN (only in a trace built in code)
 is born after all of them.  A pool with no track has no pair, so its
 detections are born without association.
 
-The single-pair rule is written once, in _match_one: one track facing one
-detection has one candidate pair at most, so no order can change its
-outcome, and the pair is matched exactly when it passes the gate (a class
-mismatch included).  track_event applies it before splitting a
-frame into pools, to a frame of one object detection facing one object
-track and no wall track: every frame after birth of a lone object.
-_step_pool applies it to a pool of one track and one detection, such as
-an object passing a wall.
+A frame pays for what it holds.  A frame of at most one object detection
+and at most one wall detection, facing at most one track per pool, is
+never split into pools: each pool with a track takes the single-pair rule,
+written once in _match_one, and a detection with no track is born.  One
+track facing one detection has one candidate pair at most, so no order can
+change its outcome, and the pair is matched exactly when it passes the
+gate (a class mismatch included); a track with no detection coasts.  That
+covers every frame of a lone object, with or without a wall: its birth,
+its gaps and every frame after.  Any other frame is split into pools for
+_step_pool.
 
 Track.velocities is not stored per frame: it replays a fresh filter over
 the track's detections, through the same shared states, which gives the
@@ -275,7 +277,8 @@ class Track:
     def observe(
         self, det: Detection, predicted: Tuple[float, float], center: Tuple[float, float]
     ) -> None:
-        """Fold in det, whose center the caller has already computed."""
+        """Fold in det, whose center the caller has already computed.
+        _match_one folds in the same steps for a lone pair."""
         residual = self.filter.update(center)
         cls = det.object_class
         run = self._class_runs[-1]
@@ -350,18 +353,30 @@ def _det_key(det: Detection) -> tuple:
     return (nan, bbox, class_order_index(det.object_class), det.confidence, det.shape_descriptor)
 
 
-def _match_one(track: Track, det: Detection, gate: float) -> bool:
-    """The single-pair rule: one track facing one detection makes one
-    candidate pair at most, and the greedy order has nothing to rank it
+def _match_one(track: Track, det: Optional[Detection], gate: float) -> Optional[Detection]:
+    """The single-pair rule, for a pool of one track facing at most one
+    detection: one pair at most, and the greedy order has nothing to rank it
     against, so the pair is matched exactly when it passes the gate, whatever
-    the classes.  Observes or coasts the track; returns whether it matched."""
+    the classes.  A track with no detection, or one the gate turns away,
+    coasts; returns the detection left to be born, if any."""
     predicted = px, py = track.filter.predict()
-    center = cx, cy = det.center
-    if not math.hypot(px - cx, py - cy) <= gate:
-        track.coast(predicted)
-        return False
-    track.observe(det, predicted, center)
-    return True
+    if det is not None:
+        center = cx, cy = det.center
+        if math.hypot(px - cx, py - cy) <= gate:
+            # Track.observe's steps, inline: nearly every frame of a lone object
+            residual = track.filter.update(center)
+            cls = det.object_class
+            run = track._class_runs[-1]
+            if run[0] is cls:
+                run[2] += 1
+            else:
+                track._class_runs.append([cls, track.first_frame + len(track.detections), 1])
+            track.detections.append(det)
+            track.centers_predicted.append(predicted)
+            track.residuals.append(residual)
+            return None
+    track.coast(predicted)
+    return det
 
 
 def _step_pool(
@@ -373,24 +388,18 @@ def _step_pool(
     returns the detections that matched no track and should start new ones.
 
     With no track there is no pair: every detection is born, in content
-    order.  One track facing one detection follows the single-pair rule.
-    Otherwise the in-gate pairs are found first, each naming its detection
-    by its position in the frame.  When no track and no detection is in two
-    pairs the pool is uncontested: greedy takes every pair, so they are all
-    observed and only the births are sorted.  A contested pool sorts its
-    pairs by (distance, class mismatch, track id, detection content) and
-    runs greedy over them.
+    order.  Otherwise the in-gate pairs are found first, each naming its
+    detection by its position in the frame.  When no track and no detection
+    is in two pairs the pool is uncontested: greedy takes every pair, so
+    they are all observed and only the births are sorted.  A contested pool
+    sorts its pairs by (distance, class mismatch, track id, detection
+    content) and runs greedy over them.
     """
+    if not pool:
+        return sorted(dets, key=_det_key)
+
     gate = params.assoc_gate
-    if len(pool) == 1 and len(dets) == 1:
-        return [] if _match_one(pool[0], dets[0], gate) else [dets[0]]
-
     predictions = [t.filter.predict() for t in pool]
-    if not dets:
-        for track, predicted in zip(pool, predictions):
-            track.coast(predicted)
-        return []
-
     centers = [det.center for det in dets]
     candidates = []
     for dj, (cx, cy) in enumerate(centers):
@@ -460,22 +469,44 @@ def _step_pool(
 def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> list[Track]:
     """Track every detection in the trace; returns tracks in id order.
 
-    The trace is assumed valid; feed parser or generator output.
+    The trace is assumed valid; feed parser or generator output.  A frame
+    of at most one detection per pool, facing at most one track per pool,
+    takes the single-pair rule pool by pool; any other is split into pools
+    for _step_pool.  Object births come before wall births either way.
     """
     tracks: list[Track] = []
     objects: list[Track] = []
     walls: list[Track] = []
     gate = params.assoc_gate
     wall = ObjectClass.WALL
+
+    def born(det: Detection, pool: list[Track], frame_index: int) -> None:
+        track = Track(len(tracks), frame_index, det, params)
+        tracks.append(track)
+        pool.append(track)
+
     for frame_index, detections in enumerate(trace.frames):
-        if len(detections) == 1 and len(objects) == 1 and not walls:
-            det = detections[0]
-            if det.object_class is not wall:
-                # the single-pair rule, before the split into pools
-                if not _match_one(objects[0], det, gate):
-                    track = Track(len(tracks), frame_index, det, params)
-                    tracks.append(track)
-                    objects.append(track)
+        if len(objects) < 2 and len(walls) < 2:
+            # at most one detection per pool takes the single-pair rule
+            obj_det = wall_det = None
+            for det in detections:
+                if det.object_class is wall:
+                    if wall_det is not None:
+                        break
+                    wall_det = det
+                elif obj_det is None:
+                    obj_det = det
+                else:
+                    break
+            else:
+                if objects:
+                    obj_det = _match_one(objects[0], obj_det, gate)
+                if obj_det is not None:
+                    born(obj_det, objects, frame_index)
+                if walls:
+                    wall_det = _match_one(walls[0], wall_det, gate)
+                if wall_det is not None:
+                    born(wall_det, walls, frame_index)
                 continue
         obj_dets: list[Detection] = []
         wall_dets: list[Detection] = []
@@ -483,9 +514,7 @@ def track_event(trace: EventTrace, params: TrackerParams = TrackerParams()) -> l
             (wall_dets if det.object_class is wall else obj_dets).append(det)
         for pool, dets in ((objects, obj_dets), (walls, wall_dets)):
             for det in _step_pool(pool, dets, params):
-                track = Track(len(tracks), frame_index, det, params)
-                tracks.append(track)
-                pool.append(track)
+                born(det, pool, frame_index)
     return tracks
 
 

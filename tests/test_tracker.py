@@ -825,6 +825,14 @@ def _wall_alone_after_an_object():
     return ((obj,), (wall,)), [(0, [obj, None]), (1, [wall])]
 
 
+def _one_object_between_two_walls():
+    obj, moved = _unit_box((300.0, 100.0)), _unit_box((303.0, 100.0))
+    near, far = _unit_box((200.0, 100.0), ObjectClass.WALL), _unit_box((400.0, 100.0), ObjectClass.WALL)
+    # two walls are never one pool's lone detection, and once there are two
+    # wall tracks the far one must coast beside the lone pair
+    return ((near, obj, far), (moved, near)), [(0, [obj, moved]), (0, [near, near]), (0, [far, None])]
+
+
 def _identical_twins_contested(twins_first):
     start, cube = _unit_box((100.0, 100.0)), _unit_box((97.0, 100.0), ObjectClass.CUBE)
     twins = (_unit_box((103.0, 100.0)), _unit_box((103.0, 100.0)))  # equal content
@@ -846,6 +854,7 @@ ASSOCIATION_CASES = {
     "single-object-behind-a-wall": _single_object_behind_a_wall(),
     "single-object-with-a-missed-wall": _single_object_with_a_missed_wall(),
     "wall-alone-after-an-object": _wall_alone_after_an_object(),
+    "one-object-between-two-walls": _one_object_between_two_walls(),
     "identical-twins-listed-first": _identical_twins_contested(True),
     "identical-twins-listed-last": _identical_twins_contested(False),
 }
@@ -906,6 +915,28 @@ def test_filter_steps_once_per_frame_after_birth(monkeypatch, kind):
         assert sum(f is t.filter for f in calls["update"]) == t.detected_frames - 1
     assert len(calls["predict"]) == sum(len(t.detections) - 1 for t in tracks)
     assert len(calls["update"]) == sum(t.detected_frames - 1 for t in tracks)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_one_object_events_never_search_a_pool(monkeypatch, kind):
+    # one object and at most one wall: every frame takes the single-pair
+    # rule per pool, coasts, or gives a birth, and no pool is split out
+    # (at sigma 4 an object can come out of occlusion beyond the gate; its
+    # second track then takes the pool search)
+    searched = []
+
+    def counted(pool, dets, params, _step=tracker._step_pool):
+        searched.append((len(pool), len(dets)))
+        return _step(pool, dets, params)
+
+    for noise in (0.0, 0.5, 2.0):
+        for seed in (0, 1, 2):
+            trace, params = generate_event(build_spec(kind, noise_sigma=noise, seed=seed)), TrackerParams()
+            monkeypatch.setattr(tracker, "_step_pool", counted)
+            tracks = track_event(trace, params)
+            monkeypatch.undo()
+            assert searched == [], (noise, seed)
+            assert _track_summary(tracks) == _track_summary(_reference_track_event(trace, params))
 
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
@@ -1082,8 +1113,9 @@ def test_association_matches_the_reference():
             [0.0, gate, -gate, gate / 2, -gate / 2, 2.0 * gate, 0.6 * gate, 0.8 * gate]
         )
         # two frame shapes: up to ten detections of any class, or at most
-        # one object and one wall, which gives long runs of pools with one
-        # track facing one detection, broken by births and class changes
+        # one object and one wall in either order, which gives long runs of
+        # pools with one track facing one detection, broken by births, gaps
+        # and class changes
         one_per_pool = draw(st.booleans())
         frames = []
         for t in range(draw(st.integers(1, 12 if one_per_pool else 7))):
@@ -1093,6 +1125,8 @@ def test_association_matches_the_reference():
                     for cls in (draw(object_classes), ObjectClass.WALL)
                     if draw(st.booleans())
                 ]
+                if draw(st.booleans()):
+                    frame_classes.reverse()  # the wall listed first
             else:
                 frame_classes = [draw(classes) for _ in range(draw(st.integers(0, 10)))]
             dets = []
