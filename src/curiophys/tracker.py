@@ -277,8 +277,7 @@ class Track:
     def observe(
         self, det: Detection, predicted: Tuple[float, float], center: Tuple[float, float]
     ) -> None:
-        """Fold in det, whose center the caller has already computed.
-        _match_one folds in the same steps for a lone pair."""
+        """Fold in det, whose center the caller has already computed."""
         residual = self.filter.update(center)
         cls = det.object_class
         run = self._class_runs[-1]
@@ -363,17 +362,7 @@ def _match_one(track: Track, det: Optional[Detection], gate: float) -> Optional[
     if det is not None:
         center = cx, cy = det.center
         if math.hypot(px - cx, py - cy) <= gate:
-            # Track.observe's steps, inline: nearly every frame of a lone object
-            residual = track.filter.update(center)
-            cls = det.object_class
-            run = track._class_runs[-1]
-            if run[0] is cls:
-                run[2] += 1
-            else:
-                track._class_runs.append([cls, track.first_frame + len(track.detections), 1])
-            track.detections.append(det)
-            track.centers_predicted.append(predicted)
-            track.residuals.append(residual)
+            track.observe(det, predicted, center)
             return None
     track.coast(predicted)
     return det
@@ -387,17 +376,14 @@ def _step_pool(
     """Advance one association pool (objects or walls) by a single frame;
     returns the detections that matched no track and should start new ones.
 
-    With no track there is no pair: every detection is born, in content
-    order.  Otherwise the in-gate pairs are found first, each naming its
-    detection by its position in the frame.  When no track and no detection
-    is in two pairs the pool is uncontested: greedy takes every pair, so
-    they are all observed and only the births are sorted.  A contested pool
-    sorts its pairs by (distance, class mismatch, track id, detection
-    content) and runs greedy over them.
+    The in-gate pairs are found first, each naming its detection by its
+    position in the frame; a pool with no track has none, so every
+    detection is born.  When no track and no detection is in two pairs the
+    pool is uncontested: greedy takes every pair, so they are all observed
+    and only the births are sorted.  A contested pool sorts its pairs by
+    (distance, class mismatch, track id, detection content) and runs greedy
+    over them.
     """
-    if not pool:
-        return sorted(dets, key=_det_key)
-
     gate = params.assoc_gate
     predictions = [t.filter.predict() for t in pool]
     centers = [det.center for det in dets]
